@@ -375,9 +375,11 @@ def crt_combine(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     for r, m in pairs:
         if m < 1:
             raise ValueError(f"modulus must be positive, got {m}")
-        if math.gcd(M, m) != 1:
-            raise ValueError(f"moduli are not pairwise coprime at {m}")
-        t = (r - R) % m * pow(M, -1, m) % m
+        try:
+            inv = pow(M, -1, m)
+        except ValueError:
+            raise ValueError(f"moduli are not pairwise coprime at {m}") from None
+        t = (r - R) % m * inv % m
         R += M * t
         M *= m
     return R, M

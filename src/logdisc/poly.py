@@ -7,8 +7,12 @@ Three independent resultant routes live here:
 
   * resultant_mod_p   -- euclidean remainder sequence over F_p,
   * resultant_exact   -- CRT over machine-word primes, with a fast
-                         evaluation path when the monic argument is
-                         1 + x + ... + x^(d-1),
+                         path when the monic argument is
+                         1 + x + ... + x^(n-1): modulo p = 1 (mod n)
+                         its roots are the n-th roots of unity, and g
+                         is evaluated at all of them by a mixed-radix
+                         DFT; one extra prime, by the euclidean route,
+                         checks the reconstructed value,
   * resultant_prs     -- subresultant pseudo-remainder sequence over Z.
 
 The last is deliberately kept algorithmically disjoint from the first
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from .arith import factorize, is_prime
+from .arith import crt_combine, factorize, is_prime, symmetric_rep
 
 IntPoly = list[int]
 
@@ -202,37 +206,110 @@ def _order_n_root(n: int, p: int, n_factors: dict[int, int]) -> int:
     raise ArithmeticError(f"no order-{n} element mod {p}")  # unreachable for prime p
 
 
+_BATCH = 256
+# limb columns per int64 matmul: 2**15 products below 2**16 * 2**31 stay
+# under 2**62
+_LIMB_CHUNK = 1 << 15
+
+
+def _residue_table(a: list[int], P: np.ndarray) -> np.ndarray:
+    """a[j] mod P[b] as a (len(P), len(a)) int64 array.
+
+    |a[j]| is split into 16-bit limbs and reduced against a table of
+    2^(16 i) mod p by one int64 matmul per 2^15 limbs, then signs are
+    fixed.
+    """
+    nbits = max(abs(c).bit_length() for c in a)
+    L = max(1, -(-nbits // 16))
+    blob = b"".join(abs(c).to_bytes(2 * L, "little") for c in a)
+    limbs = np.frombuffer(blob, dtype="<u2").reshape(len(a), L).astype(np.int64)
+    T = np.empty((L, len(P)), dtype=np.int64)  # T[i] = 2^(16 i) mod P
+    T[0] = 1
+    k = 1
+    while k < L:
+        T[k : 2 * k] = T[: min(k, L - k)] * (T[k - 1] * 65536 % P) % P
+        k *= 2
+    C = np.zeros((len(a), len(P)), dtype=np.int64)
+    for s in range(0, L, _LIMB_CHUNK):
+        C += limbs[:, s : s + _LIMB_CHUNK] @ T[s : s + _LIMB_CHUNK]
+        C %= P
+    neg = np.array([c < 0 for c in a])
+    C[neg] = (P - C[neg]) % P
+    return C.T
+
+
+def _dft(a: np.ndarray, P: np.ndarray, pw: np.ndarray, t: int, radices: list[int]) -> np.ndarray:
+    """Length-N DFTs of the rows a[b, s, :] mod P[b] at the root w = zeta^t.
+
+    P holds the primes as a (B, 1, 1, 1) array, pw[b, e] = zeta^e mod
+    P[b] for a zeta of order n = pw.shape[1], and
+    w has order N = prod(radices).  Decimation in time over r =
+    radices[0], N = r * m: with Y_j the length-m DFT of a[j::r] at w^r,
+    X[k + m * q] = sum_j (w^m)^(j * q) * w^(j * k) * Y_j[k].  The r-point
+    DFTs, and so the leaves, are direct Horner evaluations.  Every
+    product of two residues below 2^31 is reduced at once.
+    """
+    B, s, N = a.shape
+    n = pw.shape[1]
+    r = radices[0]
+    m = N // r
+    if m > 1:
+        sub = a.reshape(B, s, m, r).transpose(0, 1, 3, 2).reshape(B, s * r, m)
+        y = _dft(sub, P, pw, t * r, radices[1:]).reshape(B, s, r, m)
+        y = y * pw[:, None, t * np.outer(np.arange(r), np.arange(m)) % n] % P
+    else:
+        y = a.reshape(B, s, r, 1)
+    x = pw[:, None, t * m * np.arange(r) % n, None]
+    acc = np.repeat(y[:, :, r - 1 :], r, axis=2)
+    for j in range(r - 2, -1, -1):
+        acc *= x
+        acc += y[:, :, j : j + 1]
+        acc %= P
+    return acc.reshape(B, s, N)
+
+
+def _unity_dft(n: int, g: list[int], primes: list[int]) -> np.ndarray:
+    """g(zeta^k) mod p for k = 0 .. n-1, one row per prime p = 1 (mod n),
+    where zeta = _order_n_root(n, p); g may be longer than n."""
+    n_factors = factorize(n)
+    radices = [q for q, e in sorted(n_factors.items()) for _ in range(e)]
+    a = [0] * n  # g mod x^n - 1, zero-padded to length n
+    for i, c in enumerate(g):
+        a[i % n] += c
+    P = np.array(primes, dtype=np.int64)
+    Z = np.array([_order_n_root(n, p, n_factors) for p in primes], dtype=np.int64)
+    pw = np.empty((len(primes), n), dtype=np.int64)
+    pw[:, 0] = 1
+    for k in range(1, n):
+        pw[:, k] = pw[:, k - 1] * Z % P
+    C = _residue_table(a, P)
+    return _dft(C[:, None, :], P[:, None, None, None], pw, 1, radices)[:, 0, :]
+
+
 def _all_ones_residues(n: int, g: list[int], primes: list[int]) -> list[int]:
     """Res(1 + x + ... + x^(n-1), g) mod p for each p = 1 (mod n).
 
     The roots are the nontrivial n-th roots of unity, all of which exist
-    in F_p, so the resultant is a product of n - 1 evaluations of g.
-    Work is batched across primes as int64 arrays.
+    in F_p, so the resultant is the product of g(zeta^k), k = 1 .. n-1:
+    all but the first value of a length-n DFT of g mod x^n - 1.  The DFT
+    is mixed-radix over the prime factors of n, about n * (sum of those
+    factors) products per prime instead of n^2, and runs as int64
+    arrays over batches of primes.
     """
-    n_factors = factorize(n)
-    P = np.array(primes, dtype=np.int64)
-    C = np.array([[c % p for p in primes] for c in g], dtype=np.int64)
-    Z = np.array(
-        [_order_n_root(n, p, n_factors) for p in primes], dtype=np.int64
-    )
-    pts = np.empty((len(primes), n - 1), dtype=np.int64)
-    pts[:, 0] = Z
-    for k in range(1, n - 1):
-        pts[:, k] = pts[:, k - 1] * Z % P
-    Pc = P[:, None]
-    acc = np.broadcast_to(C[-1][:, None], pts.shape).copy()
-    for j in range(len(g) - 2, -1, -1):
-        acc = acc * pts % Pc
-        acc += C[j][:, None]
-        acc -= Pc * (acc >= Pc)
-    # fold the row products pairwise to stay inside int64
-    while acc.shape[1] > 1:
-        half = acc.shape[1] // 2
-        head = acc[:, :half] * acc[:, half : 2 * half] % Pc
-        if acc.shape[1] & 1:
-            head = np.concatenate([head, acc[:, -1:]], axis=1)
-        acc = head
-    return [int(v) for v in acc[:, 0]]
+    out: list[int] = []
+    for i in range(0, len(primes), _BATCH):
+        batch = primes[i : i + _BATCH]
+        Pc = np.array(batch, dtype=np.int64)[:, None]
+        acc = _unity_dft(n, g, batch)[:, 1:]
+        # fold the row products pairwise to stay inside int64
+        while acc.shape[1] > 1:
+            half = acc.shape[1] // 2
+            head = acc[:, :half] * acc[:, half : 2 * half] % Pc
+            if acc.shape[1] & 1:
+                head = np.concatenate([head, acc[:, -1:]], axis=1)
+            acc = head
+        out.extend(int(v) for v in acc[:, 0])
+    return out
 
 
 def _is_all_ones(f: list[int]) -> bool:
@@ -244,9 +321,11 @@ def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
 
     The caller must supply bound >= |Res(f, g)|; moduli are accumulated
     until their product exceeds 2 * bound, after which the symmetric
-    residue is the exact integer.  A bound below the true magnitude
-    would be silently wrong, so it is the caller's contract to supply a
-    rigorous one (see product_bound).
+    residue is the exact integer.  One more prime of the same
+    progression then checks that value against resultant_mod_p, so a
+    bound below the true magnitude raises ArithmeticError, unless the
+    wrong value happens to agree modulo that prime too.  See
+    product_bound for a rigorous bound.
     """
     f = normalize(f)
     g = normalize(g)
@@ -262,35 +341,39 @@ def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
     residues: list[int] = []
     moduli: list[int] = []
     M = 1
+    primes = iter(())
     if _is_all_ones(f):
-        for p in _descending_primes_1_mod_n(n):
+        primes = _descending_primes_1_mod_n(n)
+        for p in primes:
             moduli.append(p)
             M *= p
             if M > target:
                 break
-        for i in range(0, len(moduli), 512):
-            residues.extend(_all_ones_residues(n, g, moduli[i : i + 512]))
+        residues = _all_ones_residues(n, g, moduli)
     if M <= target:
         # generic euclidean route; also the tail if the 1 (mod n)
         # progression ran out of word-size primes
         seen = set(moduli)
-        for p in _descending_primes():
-            if p in seen:
-                continue
+        primes = (p for p in _descending_primes() if p not in seen)
+        for p in primes:
             residues.append(resultant_mod_p(f, g, p))
             moduli.append(p)
             M *= p
             if M > target:
                 break
 
-    R = 0
-    Mi = 1
-    for r, m in zip(residues, moduli):
-        t = (r - R) % m * pow(Mi, -1, m) % m
-        R += Mi * t
-        Mi *= m
     # symmetric representative; an actual zero resultant lands on 0 here
-    return R - Mi if R > Mi // 2 else R
+    R = symmetric_rep(*crt_combine(list(zip(residues, moduli))))
+    # the next prime of the progression, or the first generic one when
+    # there is none (no moduli at bound 0, or the 1 (mod n) primes ran
+    # out exactly at the bound); Euclid there is independent of the DFT
+    check = next(primes, None) or next(p for p in _descending_primes() if p % n != 1)
+    if resultant_mod_p(f, g, check) != R % check:
+        raise ArithmeticError(
+            f"resultant_exact: the CRT value disagrees with Res(f, g) mod {check}; "
+            f"the bound (a {bound.bit_length()}-bit integer) is below |Res(f, g)|"
+        )
+    return R
 
 
 def _content(p: list[int]) -> int:

@@ -1,11 +1,18 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logdisc.arith import factorize
 from logdisc.poly import (
     _NP_MIN_DEG,
+    _descending_primes_1_mod_n,
+    _order_n_root,
+    _unity_dft,
     degree,
     normalize,
     poly_eval,
@@ -163,6 +170,59 @@ def test_resultant_exact_all_ones_path_matches_prs():
             want = resultant_prs(f, g)
             got = resultant_exact(f, g, product_bound(g, n - 1) * 100)
             assert got == want, (n, g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 37, 100, 102, 128, 333])
+def test_unity_dft_matches_poly_eval(n):
+    # primes, prime powers and mixed factorisations of n; g longer than
+    # n (folded mod x^n - 1) with negative and multi-limb coefficients
+    rng = random.Random(2011 + n)
+    g = [rng.randrange(-(1 << 80), 1 << 80) for _ in range(n + 5)]
+    g[0] = -(1 << 200) - 1
+    top = _descending_primes_1_mod_n(n)
+    small = _descending_primes_1_mod_n(n, top=n * 1000 + 1)
+    primes = [next(top), next(top), next(small)]
+    vals = _unity_dft(n, g, primes)
+    assert vals.shape == (len(primes), n)
+    for row, p in zip(vals, primes):
+        z = _order_n_root(n, p, factorize(n))
+        want = [poly_eval(g, pow(z, k, p)) % p for k in range(n)]
+        assert [int(v) for v in row] == want, (n, p)
+
+
+def test_unity_dft_coefficients_past_one_matmul_chunk():
+    # 200,000 limbs of 0xffff: one unchunked int64 matmul would overflow
+    g = [(1 << 3_200_000) - 1, -(3**380_000), 7, -1]
+    primes = list(itertools.islice(_descending_primes_1_mod_n(3), 4))
+    vals = _unity_dft(3, g, primes)
+    for row, p in zip(vals, primes):
+        z = _order_n_root(3, p, {3: 1})
+        want = [poly_eval([c % p for c in g], pow(z, k, p)) % p for k in range(3)]
+        assert [int(v) for v in row] == want
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_resultant_exact_all_ones_property(data):
+    n = data.draw(st.integers(2, 60))
+    g = data.draw(st.lists(st.integers(-(1 << 70), 1 << 70), max_size=n + 3))
+    f = psi_poly(n)
+    assert resultant_exact(f, g, product_bound(g, n - 1)) == resultant_prs(f, g)
+
+
+def test_resultant_exact_low_bound_raises():
+    # |Res| is about 10^24 on both routes, far past one word prime
+    cases = [(psi_poly(5), [10**6, 1]), ([-2, 0, 1], [10**12, 1])]
+    for f, g in cases:
+        assert abs(resultant_prs(f, g)) > 1 << 62
+        with pytest.raises(ArithmeticError, match="bound"):
+            resultant_exact(f, g, 1)
+        assert resultant_exact(f, g, hadamard_bound(f, g)) == resultant_prs(f, g)
+    # bound 0 claims Res = 0; the generic route then has no moduli at all
+    with pytest.raises(ArithmeticError, match="bound"):
+        resultant_exact([-2, 0, 1], [1, 1], 0)
+    assert resultant_exact([-2, 0, 1], [-2, 0, 1], 0) == 0
+    assert resultant_exact(psi_poly(3), [1, 1, 1], 0) == 0
 
 
 def test_resultant_exact_zero_detection():
