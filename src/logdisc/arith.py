@@ -370,19 +370,34 @@ def crt_combine(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine (residue, modulus) pairs into (R, M) with R in [0, M).
 
     Moduli must be pairwise coprime; a shared factor raises ValueError.
+    On a product tree: with c_i = r_i / (M / m_i) mod m_i,
+    R = sum c_i * M / m_i mod M.  M / m_i mod m_i is (M mod m_i^2) / m_i,
+    read off a remainder tree of M over the squared nodes, and the sum
+    is built bottom-up as V = V_left * M_right + V_right * M_left.
     """
-    R, M = 0, 1
-    for r, m in pairs:
+    moduli = [m for _, m in pairs]
+    for m in moduli:
         if m < 1:
             raise ValueError(f"modulus must be positive, got {m}")
+    tree = [moduli]  # tree[0] the moduli, tree[-1] = [M]
+    while len(tree[-1]) > 1:
+        row = tree[-1]
+        tree.append([row[i] * row[i + 1] for i in range(0, len(row) - 1, 2)] + row[len(row) & ~1 :])
+    M = tree[-1][0] if moduli else 1
+    rems = [M]
+    for row in reversed(tree[:-1]):
+        rems = [rems[i // 2] % (q * q) for i, q in enumerate(row)]
+    vals = []
+    for (r, m), rem in zip(pairs, rems):
         try:
-            inv = pow(M, -1, m)
+            vals.append(r * pow(rem // m, -1, m) % m)
         except ValueError:
             raise ValueError(f"moduli are not pairwise coprime at {m}") from None
-        t = (r - R) % m * inv % m
-        R += M * t
-        M *= m
-    return R, M
+    for row in tree[:-1]:
+        vals = [
+            vals[i] * row[i + 1] + vals[i + 1] * row[i] for i in range(0, len(row) - 1, 2)
+        ] + vals[len(row) & ~1 :]
+    return (vals[0] % M if vals else 0), M
 
 
 def symmetric_rep(r: int, m: int) -> int:

@@ -54,7 +54,9 @@ _REQUIRED_FIELDS = {
     "unresolved": (),
 }
 _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
-_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
+# every integer field a certificate may carry, in the order sweep files
+# write them
+CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         return f"unknown certificate kind {kind!r}"
     required = _REQUIRED_FIELDS[kind]
     allowed = set(required) | set(_OPTIONAL_FIELDS.get(kind, ()))
-    for name in _INT_FIELDS:
+    for name in CERT_INT_FIELDS:
         v = getattr(cert, name)
         if name in required and v is None:
             return f"{kind} certificate missing field {name}"

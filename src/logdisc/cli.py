@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .arith import FactorizationBudgetError
 from .certify import ClassifyConfig, classify
@@ -143,7 +144,15 @@ def _cmd_sweep(args) -> int:
         exact_degree_cap=args.exact_degree_cap,
         resume=args.resume,
     )
-    summary = run_sweep(config, log=sys.stderr)
+    try:
+        summary = run_sweep(config, log=sys.stderr)
+    except BrokenProcessPool as exc:
+        print(
+            f"error: sweep: a worker process died ({exc}); the records written "
+            f"so far are kept, rerun with --resume to finish {args.out}",
+            file=sys.stderr,
+        )
+        return 2
     print(
         f"certified {summary.certified}, counterexamples {summary.counterexamples}, "
         f"unresolved {summary.unresolved}, skipped {summary.skipped}, "

@@ -6,9 +6,10 @@ with a nonzero last entry (the zero polynomial is the empty list).
 Three independent resultant routes live here:
 
   * resultant_mod_p   -- euclidean remainder sequence over F_p,
-  * resultant_exact   -- CRT over machine-word primes, with a fast
-                         path when the monic argument is
-                         1 + x + ... + x^(n-1): modulo p = 1 (mod n)
+  * resultant_exact   -- CRT over machine-word primes from a sieved
+                         progression, with a fast path when the monic
+                         argument is 1 + x + ... + x^(n-1): modulo
+                         p = 1 (mod n)
                          its roots are the n-th roots of unity, and g
                          is evaluated at all of them by a mixed-radix
                          DFT; one extra prime, by the euclidean route,
@@ -25,7 +26,9 @@ import math
 
 import numpy as np
 
-from .arith import crt_combine, factorize, is_prime, symmetric_rep
+# nothing here calls is_prime any more (the progressions are sieved);
+# the name stays bound because perfbench traces poly.is_prime
+from .arith import crt_combine, factorize, is_prime, primes_upto, symmetric_rep  # noqa: F401
 
 IntPoly = list[int]
 
@@ -174,24 +177,62 @@ def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
 
 
 _WORD_PRIME_TOP = (1 << 31) - 1
+# candidates per sieve segment: the first is small, so a caller that
+# needs a prime or two pays for little more, and each next one doubles
+_SEGMENT_FIRST = 64
+_SEGMENT_MAX = 1 << 13
 
 
-def _descending_primes(top: int = _WORD_PRIME_TOP):
-    """Odd primes downward from top (top assumed odd)."""
-    c = top
-    while c > 2:
-        if is_prime(c):
-            yield c
-        c -= 2
+def _inverse_mod_primes(a: int, S: np.ndarray) -> np.ndarray:
+    """a^-1 mod s for each prime s of S (below 2^31, not dividing a), by
+    Fermat: a^(s - 2), square and multiply over all of S at once."""
+    out = np.ones_like(S)
+    base = a % S
+    e = S - 2
+    while e.any():
+        out = np.where(e & 1, out * base % S, out)
+        base = base * base % S
+        e >>= 1
+    return out
 
 
 def _descending_primes_1_mod_n(n: int, top: int = _WORD_PRIME_TOP):
-    """Primes p = 1 (mod n) downward from top; may exhaust."""
-    c = top - (top - 1) % n
-    while c > max(n, 2):
-        if is_prime(c):
-            yield c
-        c -= n
+    """Primes p = 1 (mod n), max(n, 2) < p <= top, downward; may exhaust.
+
+    A segmented sieve of the progression c_k = c_0 - k n.  A prime s
+    that does not divide n divides c_k exactly when k = c_0 / n (mod s);
+    one that does never divides c_k = 1 (mod n).  Every prime
+    s <= sqrt(top) marks its class of k, except the slot where c_k = s
+    itself, so the unmarked candidates are exactly the primes: the
+    sieve is a primality test on its whole range.  Sieving primes below
+    the segment length mark a strided slice each, the larger ones at
+    most one slot each, all in one assignment.
+    """
+    if top > _WORD_PRIME_TOP:
+        raise ValueError(f"top must be at most 2^31 - 1, got {top}")
+    c0 = top - (top - 1) % n
+    count = max(0, -(-(c0 - max(n, 2)) // n))  # candidates above max(n, 2)
+    if not count:
+        return
+    S = np.array(primes_upto(math.isqrt(c0)), dtype=np.int64)
+    S = S[n % S != 0]
+    K = c0 % S * _inverse_mod_primes(n, S) % S  # s | c_k iff k = K (mod s)
+    lo, seg = 0, _SEGMENT_FIRST
+    while lo < count:
+        seg = min(seg, count - lo)
+        composite = np.zeros(seg, dtype=bool)
+        first = (K - lo) % S
+        n_small = int(np.searchsorted(S, seg))
+        for s, j in zip(S[:n_small].tolist(), first[:n_small].tolist()):
+            composite[j::s] = True
+        big = first[n_small:]
+        composite[big[big < seg]] = True
+        c = c0 - n * (lo + np.arange(seg, dtype=np.int64))
+        if len(S) and c[-1] <= S[-1]:
+            composite[np.isin(c, S)] = False  # sieving primes in the progression
+        yield from c[~composite].tolist()
+        lo += seg
+        seg = min(2 * seg, _SEGMENT_MAX)
 
 
 def _order_n_root(n: int, p: int, n_factors: dict[int, int]) -> int:
@@ -354,7 +395,7 @@ def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
         # generic euclidean route; also the tail if the 1 (mod n)
         # progression ran out of word-size primes
         seen = set(moduli)
-        primes = (p for p in _descending_primes() if p not in seen)
+        primes = (p for p in _descending_primes_1_mod_n(2) if p not in seen)
         for p in primes:
             residues.append(resultant_mod_p(f, g, p))
             moduli.append(p)
@@ -367,7 +408,7 @@ def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
     # the next prime of the progression, or the first generic one when
     # there is none (no moduli at bound 0, or the 1 (mod n) primes ran
     # out exactly at the bound); Euclid there is independent of the DFT
-    check = next(primes, None) or next(p for p in _descending_primes() if p % n != 1)
+    check = next(primes, None) or next(p for p in _descending_primes_1_mod_n(2) if p % n != 1)
     if resultant_mod_p(f, g, check) != R % check:
         raise ArithmeticError(
             f"resultant_exact: the CRT value disagrees with Res(f, g) mod {check}; "

@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .certify import CERT_KINDS, Certificate, ClassifyConfig, classify, verify_failure
-
-_CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
+from .certify import CERT_INT_FIELDS, CERT_KINDS, Certificate, ClassifyConfig, classify, verify_failure
 
 
 class SweepFileError(Exception):
@@ -88,7 +86,7 @@ def iter_targets(config: SweepConfig):
 
 def certificate_to_json(cert: Certificate) -> dict:
     out = {"type": cert.kind}
-    for name in _CERT_INT_FIELDS:
+    for name in CERT_INT_FIELDS:
         v = getattr(cert, name)
         if v is not None:
             out[name] = str(v)
@@ -105,7 +103,7 @@ def certificate_from_json(obj: dict) -> Certificate:
     for key, value in obj.items():
         if key == "type":
             continue
-        if key not in _CERT_INT_FIELDS:
+        if key not in CERT_INT_FIELDS:
             raise ValueError(f"unknown certificate field {key!r}")
         if not isinstance(value, str):
             raise ValueError(f"field {key} must be a decimal string")
@@ -217,10 +215,14 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
         done, keep = scan_sweep_file(path)
         with open(path, "rb+") as fh:
             fh.truncate(keep)
-    targets = [n for n in iter_targets(config) if n not in done]
-    for n, status in done.items():
-        summary.skipped += 1
-        _tally(summary, status)
+    targets = []
+    for n in iter_targets(config):
+        if n in done:
+            # only rows inside this range and filter are counted
+            summary.skipped += 1
+            _tally(summary, done[n])
+        else:
+            targets.append(n)
 
     cexact = ClassifyConfig(
         max_witness_attempts=config.max_witness_attempts,

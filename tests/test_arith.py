@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logdisc.arith import (
     FactorizationBudgetError,
@@ -222,6 +224,55 @@ def test_crt_combine_rejects_shared_factor():
         crt_combine([(1, 6), (2, 10)])
     with pytest.raises(ValueError):
         crt_combine([(1, 5), (2, 0)])
+
+
+def crt_fold(pairs):
+    """Sequential CRT: one inverse of the running modulus per pair."""
+    R, M = 0, 1
+    for r, m in pairs:
+        R += M * ((r - R) * pow(M, -1, m) % m)
+        M *= m
+    return R, M
+
+
+def word_primes(top, count):
+    out = []
+    c = top
+    while len(out) < count:
+        if is_prime(c):
+            out.append(c)
+        c -= 2
+    return out
+
+
+WORD_PRIMES = word_primes((1 << 31) - 1, 400) + word_primes((1 << 24) - 1, 200)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_crt_combine_matches_sequential_fold(data):
+    moduli = data.draw(st.lists(st.sampled_from(WORD_PRIMES), max_size=300, unique=True))
+    residues = data.draw(st.lists(st.integers(-(1 << 64), 1 << 64),
+                                  min_size=len(moduli), max_size=len(moduli)))
+    pairs = list(zip(residues, moduli))
+    assert crt_combine(pairs) == crt_fold(pairs)
+
+
+def test_crt_combine_rejects_shared_factor_anywhere():
+    moduli = WORD_PRIMES[:257]
+    for i, j in [(0, 1), (3, 256), (128, 129), (255, 256)]:
+        bad = list(moduli)
+        bad[j] = bad[i]
+        with pytest.raises(ValueError, match=f"not pairwise coprime at {bad[i]}"):
+            crt_combine([(1, m) for m in bad])
+    # composite moduli sharing a factor with a product of two others
+    with pytest.raises(ValueError, match="coprime"):
+        crt_combine([(1, 7), (1, 11), (1, 13), (1, 5 * 11 * 13 * 17)])
+    for zero_or_negative in (0, -7):
+        with pytest.raises(ValueError, match="positive"):
+            crt_combine([(1, m) for m in moduli[:100]] + [(2, zero_or_negative)])
+    assert crt_combine([]) == (0, 1)
+    assert crt_combine([(5, 1), (3, 1)]) == (0, 1)
 
 
 def test_symmetric_rep():

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -98,6 +100,23 @@ def test_sweep_and_verify_cycle(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--from", "2", "--to", "40",
                        "--out", str(out_path), "--resume")
     assert code == 0 and "skipped 39" in out
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker reaches the pool only by fork")
+def test_sweep_dead_worker_exits_two(tmp_path, capsys, monkeypatch):
+    import logdisc.sweep as sweep_mod
+
+    def die(n, config):
+        os._exit(1)
+
+    monkeypatch.setattr(sweep_mod, "classify_record", die)
+    out_path = tmp_path / "s.jsonl"
+    code, _, err = run(capsys, "sweep", "--from", "2", "--to", "9",
+                       "--out", str(out_path), "--jobs", "2")
+    assert code == 2
+    assert "sweep" in err and "--resume" in err
+    assert "Traceback" not in err
 
 
 def test_verify_exit_codes_on_bad_files(tmp_path, capsys):

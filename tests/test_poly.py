@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logdisc.arith import factorize
+from logdisc.arith import factorize, is_prime
 from logdisc.poly import (
     _NP_MIN_DEG,
+    _WORD_PRIME_TOP,
     _descending_primes_1_mod_n,
     _order_n_root,
     _unity_dft,
@@ -170,6 +171,40 @@ def test_resultant_exact_all_ones_path_matches_prs():
             want = resultant_prs(f, g)
             got = resultant_exact(f, g, product_bound(g, n - 1) * 100)
             assert got == want, (n, g)
+
+
+def scan_primes_1_mod_n(n, top=_WORD_PRIME_TOP):
+    """Primes p = 1 (mod n), max(n, 2) < p <= top, downward, by is_prime
+    on every candidate."""
+    c = top - (top - 1) % n
+    while c > max(n, 2):
+        if is_prime(c):
+            yield c
+        c -= n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 21, 100, 128, 333, 997])
+def test_sieved_progression_matches_plain_scan(n):
+    # 3,000 primes cross many sieve segments; at the small tops the
+    # sieving primes are themselves candidates and must survive
+    head = list(itertools.islice(_descending_primes_1_mod_n(n), 3000))
+    assert head == list(itertools.islice(scan_primes_1_mod_n(n), 3000))
+    for top in (n * 1000 + 1, 50 * n + 1, 5 * n + 1):
+        assert list(_descending_primes_1_mod_n(n, top)) == list(scan_primes_1_mod_n(n, top))
+
+
+def test_sieved_progression_resumes_and_bounds_top():
+    # a consumer that stops and pulls one more, at every point of the
+    # first few segments, gets the next prime of the progression
+    want = list(itertools.islice(scan_primes_1_mod_n(5), 80))
+    for k in range(len(want) - 1):
+        primes = _descending_primes_1_mod_n(5)
+        assert list(itertools.islice(primes, k)) == want[:k]
+        assert next(primes) == want[k]
+    assert list(_descending_primes_1_mod_n(7, 7)) == []
+    assert list(_descending_primes_1_mod_n(2, 0)) == []
+    with pytest.raises(ValueError, match="top"):
+        next(_descending_primes_1_mod_n(3, _WORD_PRIME_TOP + 2))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 37, 100, 102, 128, 333])

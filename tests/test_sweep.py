@@ -152,6 +152,24 @@ def test_run_sweep_resume_skips_done(tmp_path):
     assert out.read_bytes() == before
 
 
+def test_run_sweep_resume_counts_only_rows_in_range(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    run_sweep(SweepConfig(2, 50, out=str(out)))
+    # an unresolved row outside the new range must not flip clean either
+    with open(out, "a") as fh:
+        fh.write(json.dumps({
+            "n": 99, "status": "unresolved",
+            "certificate": {"type": "unresolved", "witness_attempts": "3"},
+            "ms": 1, "tool_version": "x",
+        }) + "\n")
+    summary = run_sweep(SweepConfig(60, 70, out=str(out), resume=True))
+    assert (summary.certified, summary.skipped, summary.unresolved) == (11, 0, 0)
+    assert summary.clean
+    summary = run_sweep(SweepConfig(40, 70, out=str(out), resume=True))
+    assert (summary.certified, summary.skipped, summary.unresolved) == (31, 22, 0)
+    assert sorted(load_records(out)) == list(range(2, 71)) + [99]
+
+
 def test_run_sweep_overwrites_without_resume(tmp_path):
     out = tmp_path / "sweep.jsonl"
     run_sweep(SweepConfig(2, 50, out=str(out)))
