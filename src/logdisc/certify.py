@@ -192,10 +192,10 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         return None
     if kind == "odd_valuation":
         ell = cert.ell
-        if not is_prime(ell):
-            return f"{ell} is not prime"
         if n % 4 or not (n // 2 < ell < n - 2):
             return f"{ell} is outside the interval ({n // 2}, {n - 2}) for n = 0 (mod 4)"
+        if not is_prime(ell):
+            return f"{ell} is not prime"
         v = int_valuation(n, ell) - (n - 1) * floor_log(ell, n)
         if v % 2 == 0:
             return f"frame valuation at {ell} is even"
@@ -204,10 +204,12 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         return None
     if kind == "odd_prime_power_valuation":
         p, e = cert.p, cert.e
+        # p^e = n needs 2 <= p <= n and 1 <= e <= log2(n); bound both
+        # before the power, whose cost grows with e
+        if not (2 <= p <= n and 1 <= e <= n.bit_length()) or p**e != n:
+            return f"n != {p}^{e}"
         if not is_prime(p):
             return f"{p} is not prime"
-        if e < 1 or p**e != n:
-            return f"n != {p}^{e}"
         if n % 4 != 1:
             return "prime power route needs n = 1 (mod 4)"
         if (int_valuation(n, p) - (n - 1) * floor_log(p, n)) % 2 == 0:
@@ -217,13 +219,13 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         return None
     if kind == "split_theorem":
         m, q = cert.m, cert.q
-        if not is_prime(q):
-            return f"{q} is not prime"
         if m < 2 or m * q != n or n % 4 != 1:
             return f"n != {m} * {q} with n = 1 (mod 4)"
         if q <= m:
             # q prime > m also forces gcd(q, m) = 1
             return f"split route needs {q} > {m}"
+        if not is_prime(q):
+            return f"{q} is not prime"
         if in_exceptional_set(m, q):
             return f"{q} lies in the exceptional set of m = {m}"
         if p_n_mod(n, q) == 0:
@@ -231,7 +233,9 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         return None
     if kind == "non_residue_witness":
         ell, res = cert.ell, cert.residue
-        if not is_prime(ell) or ell <= n:
+        if n < 2:
+            return "witness route needs n >= 2"
+        if ell <= n or not is_prime(ell):
             return f"witness modulus {ell} is not a prime > n"
         if disc_mod(n, ell) != res % ell:
             return f"disc F_{n} mod {ell} is not {res}"

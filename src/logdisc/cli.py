@@ -49,6 +49,13 @@ def build_parser() -> _Parser:
         "logarithm polynomials, with non-squareness certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # classify and sweep share these; the defaults live in ClassifyConfig
+    defaults = ClassifyConfig()
+    classify_opts = argparse.ArgumentParser(add_help=False)
+    classify_opts.add_argument("--max-witness-attempts", type=_positive_int,
+                               default=defaults.max_witness_attempts)
+    classify_opts.add_argument("--exact-degree-cap", type=_positive_int,
+                               default=defaults.exact_degree_cap)
 
     p_disc = sub.add_parser("disc", help="discriminant data for one n")
     p_disc.add_argument("n", type=_positive_int)
@@ -63,21 +70,19 @@ def build_parser() -> _Parser:
     p_xy = sub.add_parser("xy", help="X(m), Y(m) and the exceptional prime set")
     p_xy.add_argument("m", type=_positive_int)
 
-    p_cls = sub.add_parser("classify", help="non-squareness certificate for one n")
+    p_cls = sub.add_parser("classify", parents=[classify_opts],
+                           help="non-squareness certificate for one n")
     p_cls.add_argument("n", type=_positive_int)
-    p_cls.add_argument("--max-witness-attempts", type=_positive_int, default=200)
-    p_cls.add_argument("--exact-degree-cap", type=_positive_int, default=1000)
     p_cls.add_argument("--no-exact-fallback", action="store_true")
 
-    p_sweep = sub.add_parser("sweep", help="classify a range of n into a JSONL file")
+    p_sweep = sub.add_parser("sweep", parents=[classify_opts],
+                             help="classify a range of n into a JSONL file")
     p_sweep.add_argument("--from", dest="start", type=_positive_int, required=True)
     p_sweep.add_argument("--to", dest="stop", type=_positive_int, required=True)
     p_sweep.add_argument("--filter", choices=("all", "mod4eq1", "odd-squares"), default="all")
     p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--resume", action="store_true")
-    p_sweep.add_argument("--max-witness-attempts", type=_positive_int, default=200)
-    p_sweep.add_argument("--exact-degree-cap", type=_positive_int, default=1000)
 
     p_verify = sub.add_parser("verify", help="re-check every record in a sweep file")
     p_verify.add_argument("path")
@@ -117,13 +122,16 @@ def _cmd_xy(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    config = ClassifyConfig(
+def _classify_config(args, allow_exact_fallback: bool = True) -> ClassifyConfig:
+    return ClassifyConfig(
         max_witness_attempts=args.max_witness_attempts,
-        allow_exact_fallback=not args.no_exact_fallback,
+        allow_exact_fallback=allow_exact_fallback,
         exact_degree_cap=args.exact_degree_cap,
     )
-    cert = classify(args.n, config)
+
+
+def _cmd_classify(args) -> int:
+    cert = classify(args.n, _classify_config(args, not args.no_exact_fallback))
     record = {
         "n": args.n,
         "status": status_of(cert),
@@ -140,8 +148,7 @@ def _cmd_sweep(args) -> int:
         out=args.out,
         filter=args.filter,
         jobs=args.jobs,
-        max_witness_attempts=args.max_witness_attempts,
-        exact_degree_cap=args.exact_degree_cap,
+        classify=_classify_config(args),
         resume=args.resume,
     )
     try:

@@ -32,10 +32,10 @@ from .arith import crt_combine, factorize, is_prime, primes_upto, symmetric_rep 
 
 IntPoly = list[int]
 
-# numpy path keeps products of two residues inside int64, so moduli
-# must stay below 2**31; degree gate chosen by benchmark.
+# below this modulus the remainder loop runs on int64 arrays, since a
+# product of two residues stays inside int64; above it, on object
+# arrays of Python ints
 _NP_MAX_MOD = 1 << 31
-_NP_MIN_DEG = 128
 
 
 def normalize(coeffs: list[int]) -> IntPoly:
@@ -91,40 +91,8 @@ def _reduce_mod(p: list[int], m: int) -> list[int]:
     return normalize([c % m for c in p])
 
 
-def _polymod_py(a: list[int], b: list[int], p: int) -> list[int]:
+def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a mod b over F_p; both already reduced, b nonzero."""
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return list(a)
-    r = list(a)
-    inv = pow(b[-1], -1, p)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            c = c * inv % p
-            for j in range(db):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return normalize(r[:db])
-
-
-def _resultant_mod_p_py(a: list[int], b: list[int], p: int) -> int:
-    res = 1
-    while True:
-        if not b:
-            return 0
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return res * pow(b[0], da, p) % p
-        r = _polymod_py(a, b, p)
-        if not r:
-            return 0
-        if da & db & 1:
-            res = p - res
-        res = res * pow(b[-1], da - (len(r) - 1), p) % p
-        a, b = b, r
-
-
-def _polymod_np(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     db = len(b) - 1
     if len(a) - 1 < db:
         return a
@@ -142,23 +110,6 @@ def _polymod_np(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return r[: nz[-1] + 1] if nz.size else r[:0]
 
 
-def _resultant_mod_p_np(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    res = 1
-    while True:
-        if not len(b):
-            return 0
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return res * pow(int(b[0]), da, p) % p
-        r = _polymod_np(a, b, p)
-        if not len(r):
-            return 0
-        if da & db & 1:
-            res = p - res
-        res = res * pow(int(b[-1]), da - (len(r) - 1), p) % p
-        a, b = b, r
-
-
 def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
     """Res(f, g) mod p for f monic modulo p of degree >= 1.
 
@@ -168,12 +119,22 @@ def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
     a = _reduce_mod(f, p)
     if len(a) < 2 or a[-1] != 1:
         raise ValueError("f must be monic of degree >= 1 modulo p")
-    b = _reduce_mod(g, p)
-    if p < _NP_MAX_MOD and max(len(a), len(b)) >= _NP_MIN_DEG:
-        return _resultant_mod_p_np(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p
-        )
-    return _resultant_mod_p_py(a, b, p)
+    dtype = np.int64 if p < _NP_MAX_MOD else object
+    a, b = np.array(a, dtype=dtype), np.array(_reduce_mod(g, p), dtype=dtype)
+    res = 1
+    while True:
+        if not len(b):
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * pow(int(b[0]), da, p) % p
+        r = _polymod(a, b, p)
+        if not len(r):
+            return 0
+        if da & db & 1:
+            res = p - res
+        res = res * pow(int(b[-1]), da - (len(r) - 1), p) % p
+        a, b = b, r
 
 
 _WORD_PRIME_TOP = (1 << 31) - 1

@@ -30,8 +30,7 @@ class SweepConfig:
     out: str
     filter: str = "all"
     jobs: int = 1
-    max_witness_attempts: int = 200
-    exact_degree_cap: int = 1000
+    classify: ClassifyConfig = field(default_factory=ClassifyConfig)
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -145,7 +144,7 @@ def classify_record(n: int, config: ClassifyConfig) -> dict:
     return rec
 
 
-def _parse_record(line: str) -> dict:
+def _parse_record(line: str) -> tuple[dict, Certificate]:
     rec = json.loads(line)
     if not isinstance(rec, dict):
         raise ValueError("record is not an object")
@@ -157,7 +156,7 @@ def _parse_record(line: str) -> dict:
     cert = certificate_from_json(rec.get("certificate"))
     if rec["status"] != status_of(cert):
         raise ValueError("status does not match certificate type")
-    return rec
+    return rec, cert
 
 
 def scan_sweep_file(path: Path) -> tuple[dict[int, str], int]:
@@ -176,7 +175,7 @@ def scan_sweep_file(path: Path) -> tuple[dict[int, str], int]:
         line = data[pos : nl + 1]
         if line.strip():
             try:
-                rec = _parse_record(line.decode("utf-8"))
+                rec, _ = _parse_record(line.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 raise SweepFileError(
                     f"{path}: corrupt record on byte {pos}: {exc}"
@@ -224,10 +223,6 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
         else:
             targets.append(n)
 
-    cexact = ClassifyConfig(
-        max_witness_attempts=config.max_witness_attempts,
-        exact_degree_cap=config.exact_degree_cap,
-    )
     mode = "ab" if config.resume and path.exists() else "wb"
     with open(path, mode) as fh:
         def emit(rec: dict) -> None:
@@ -239,12 +234,12 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
 
         if config.jobs == 1 or len(targets) <= 1:
             for n in targets:
-                emit(classify_record(n, cexact))
+                emit(classify_record(n, config.classify))
         else:
             with ProcessPoolExecutor(
                 max_workers=config.jobs,
                 initializer=_worker_init,
-                initargs=(cexact,),
+                initargs=(config.classify,),
             ) as pool:
                 pending = {pool.submit(_worker_classify, n) for n in targets}
                 while pending:
@@ -279,7 +274,7 @@ def verify_file(path: str | Path) -> VerifyReport:
                 continue
             report.total += 1
             try:
-                rec = _parse_record(line)
+                rec, cert = _parse_record(line)
             except ValueError as exc:
                 report.malformed.append((lineno, str(exc)))
                 continue
@@ -288,7 +283,6 @@ def verify_file(path: str | Path) -> VerifyReport:
                 report.malformed.append((lineno, f"duplicate record for n={n}"))
                 continue
             seen.add(n)
-            cert = certificate_from_json(rec["certificate"])
             if cert.kind == "unresolved":
                 report.flagged.append((n, "unresolved"))
                 continue

@@ -178,3 +178,36 @@ def test_verify_diagnostics_are_specific():
     reason = verify_failure(33, Certificate("non_residue_witness", ell=37, residue=15))
     assert reason is not None and "15" in reason
     assert verify_failure(33, classify(33)) is None
+
+
+def test_verify_witness_route_rejects_n_below_two():
+    reason = verify_failure(1, Certificate("non_residue_witness", ell=2, residue=1))
+    assert reason is not None and "n >= 2" in reason
+
+
+def test_verify_prime_power_bounds_e_before_the_power():
+    class NoPower(int):
+        def __pow__(self, other, mod=None):
+            raise AssertionError("p**e evaluated")
+
+    for e in (10**7, 10**100, 0, -1):
+        reason = verify_failure(9, Certificate("odd_prime_power_valuation", p=NoPower(3), e=e))
+        assert reason is not None and "n != 3^" in reason
+    for p in (11, 1, 0, -3):
+        assert verify_failure(9, Certificate("odd_prime_power_valuation", p=p, e=2)) is not None
+
+
+def test_verify_interval_checks_come_before_primality(monkeypatch):
+    import logdisc.certify as certify_mod
+
+    def no_is_prime(x):
+        raise AssertionError(f"is_prime({x}) called")
+
+    monkeypatch.setattr(certify_mod, "is_prime", no_is_prime)
+    big = 2**521 - 1
+    reason = verify_failure(12, Certificate("odd_valuation", ell=big))
+    assert reason is not None and "outside the interval" in reason
+    reason = verify_failure(221, Certificate("split_theorem", m=13, q=big))
+    assert reason is not None and "n != 13 *" in reason
+    reason = verify_failure(33, Certificate("non_residue_witness", ell=31, residue=3))
+    assert reason is not None and "not a prime > n" in reason

@@ -77,6 +77,23 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "sweep", "--help")[0] == 0
+    # classify and sweep share the classify options
+    for command in ("classify", "sweep"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "--max-witness-attempts" in out and "--exact-degree-cap" in out
+        assert ("--no-exact-fallback" in out) == (command == "classify")
+
+
+def test_sweep_passes_classify_options(tmp_path, capsys):
+    # n = 25 needs the witness search; one attempt fails, and the cap
+    # keeps the exact fallback from running
+    out_path = tmp_path / "s.jsonl"
+    code, out, _ = run(capsys, "sweep", "--from", "25", "--to", "25", "--out", str(out_path),
+                       "--max-witness-attempts", "1", "--exact-degree-cap", "24")
+    assert code == 4 and "unresolved 1" in out
+    rec = json.loads(out_path.read_text())
+    assert rec["certificate"] == {"type": "unresolved", "witness_attempts": "1"}
 
 
 def test_computational_errors_exit_two(capsys):
@@ -137,6 +154,17 @@ def test_verify_exit_codes_on_bad_files(tmp_path, capsys):
         "ms": 1, "tool_version": "x",
     }) + "\n")
     assert run(capsys, "verify", str(flagged))[0] == 4
+
+
+def test_verify_tampered_witness_at_n1_exits_three(tmp_path, capsys):
+    # invalid, not a computational error
+    tampered = tmp_path / "t.jsonl"
+    tampered.write_text(json.dumps({
+        "n": 1, "status": "certified",
+        "certificate": {"type": "non_residue_witness", "ell": "2", "residue": "1"},
+    }) + "\n")
+    code, out, _ = run(capsys, "verify", str(tampered))
+    assert code == 3 and "n=1: INVALID" in out
 
 
 def test_sweep_odd_squares_filter(tmp_path, capsys):

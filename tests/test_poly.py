@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from logdisc.arith import factorize, is_prime
 from logdisc.poly import (
-    _NP_MIN_DEG,
     _WORD_PRIME_TOP,
     _descending_primes_1_mod_n,
     _order_n_root,
@@ -107,7 +106,7 @@ def test_resultant_prs_multiplicative():
 
 def test_resultant_mod_p_matches_prs():
     rng = random.Random(2004)
-    primes = [2, 3, 5, 97, 10007, (1 << 31) - 1]
+    primes = [2, 3, 5, 97, 10007, (1 << 31) - 1, (1 << 61) - 1]
     for _ in range(80):
         f = random_poly(rng, rng.randrange(1, 8), lead_one=True)
         g = random_poly(rng, rng.randrange(0, 8))
@@ -135,20 +134,16 @@ def test_resultant_mod_p_rejects_nonmonic():
         resultant_mod_p([3], [1, 1], 7)
 
 
-def test_resultant_mod_p_numpy_path_agrees():
-    # same inputs through the vectorized and scalar code paths
+def test_resultant_mod_p_matches_unity_dft():
+    # Euclid mod p against the exact value from the roots-of-unity DFT,
+    # at degrees around 64 and 128 and on int64 and object arrays
     rng = random.Random(2006)
-    d = _NP_MIN_DEG + 10
-    for p in (10007, (1 << 31) - 1):
-        f = random_poly(rng, d, lead_one=True, cmax=10**6)
-        g = random_poly(rng, d - 1, cmax=10**6)
-        big = resultant_mod_p(f, g, p)
-        # force the scalar route by splitting through a CRT-free identity:
-        # evaluate on the reduced pair directly
-        from logdisc.poly import _reduce_mod, _resultant_mod_p_py
-
-        small = _resultant_mod_p_py(_reduce_mod(f, p), _reduce_mod(g, p), p)
-        assert big == small
+    for n in (5, 64, 65, 127, 128, 138):
+        f = psi_poly(n)
+        g = random_poly(rng, n, cmax=10**3)
+        exact = resultant_exact(f, g, product_bound(g, n - 1))
+        for p in (10007, (1 << 31) - 1, (1 << 61) - 1):
+            assert resultant_mod_p(f, g, p) == exact % p
 
 
 def test_resultant_exact_matches_prs_random():
