@@ -1,104 +1,18 @@
 """Exact discriminant data and non-squareness certificates for
 truncated logarithm polynomials."""
 
-from .arith import (
-    DEFAULT_RHO_BUDGET,
-    ExactRational,
-    FactorizationBudgetError,
-    PrimeValuation,
-    crt_combine,
-    factorize,
-    harmonic,
-    int_valuation,
-    is_prime,
-    is_rational_square,
-    lcm_upto,
-    legendre_symbol,
-    next_prime,
-    rat_valuation,
-    symmetric_rep,
-)
-from .certify import (
-    CERT_KINDS,
-    Certificate,
-    ClassifyConfig,
-    bertrand_prime,
-    classify,
-    verify_certificate,
-    verify_failure,
-    witness_search,
-)
-from .poly import (
-    product_bound,
-    psi_poly,
-    resultant_exact,
-    resultant_mod_p,
-    resultant_prs,
-)
-from .trunclog import (
-    DiscReport,
-    ReducedLogPoly,
-    XYProfile,
-    disc_exact,
-    disc_from_definition,
-    disc_mod,
-    disc_sign,
-    exceptional_set,
-    f_tilde,
-    frame_valuations,
-    in_exceptional_set,
-    p_n_exact,
-    p_n_mod,
-    predicted_prime_power_residue,
-    predicted_split_residue,
-    reduced_coeffs,
-    x_of,
-)
+from .certify import Certificate, ClassifyConfig, classify, verify_certificate
+from .trunclog import disc_exact, disc_mod, p_n_exact, p_n_mod
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CERT_KINDS",
     "Certificate",
     "ClassifyConfig",
-    "DEFAULT_RHO_BUDGET",
-    "DiscReport",
-    "ExactRational",
-    "FactorizationBudgetError",
-    "PrimeValuation",
-    "ReducedLogPoly",
-    "XYProfile",
-    "bertrand_prime",
     "classify",
-    "crt_combine",
     "disc_exact",
-    "disc_from_definition",
     "disc_mod",
-    "disc_sign",
-    "exceptional_set",
-    "f_tilde",
-    "factorize",
-    "frame_valuations",
-    "harmonic",
-    "in_exceptional_set",
-    "int_valuation",
-    "is_prime",
-    "is_rational_square",
-    "lcm_upto",
-    "legendre_symbol",
-    "next_prime",
     "p_n_exact",
     "p_n_mod",
-    "predicted_prime_power_residue",
-    "predicted_split_residue",
-    "product_bound",
-    "psi_poly",
-    "rat_valuation",
-    "reduced_coeffs",
-    "resultant_exact",
-    "resultant_mod_p",
-    "resultant_prs",
-    "symmetric_rep",
-    "witness_search",
-    "x_of",
+    "verify_certificate",
 ]

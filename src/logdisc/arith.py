@@ -8,13 +8,10 @@ except where documented (Baillie-PSW above 2**64).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Exact rationals are fractions.Fraction: always in lowest terms with a
-# positive denominator, which is exactly the normalization we rely on.
-ExactRational = Fraction
 
 DEFAULT_RHO_BUDGET = 10_000_000
 
@@ -57,17 +54,7 @@ def primes_upto(n: int) -> list[int]:
                 flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
         _sieve_primes = [i for i, f in enumerate(flags) if f]
         _sieve_limit = limit
-    if n >= _sieve_limit:
-        return list(_sieve_primes)
-    # bisect for the prefix <= n
-    lo, hi = 0, len(_sieve_primes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _sieve_primes[mid] <= n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return _sieve_primes[:lo]
+    return _sieve_primes[: bisect.bisect_right(_sieve_primes, n)]
 
 
 def max_prime_power_upto(p: int, n: int) -> int:

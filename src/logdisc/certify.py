@@ -29,18 +29,6 @@ from .arith import (
 )
 from .trunclog import disc_exact, disc_mod, in_exceptional_set, p_n_mod
 
-CERT_KINDS = (
-    "trivial_n1",
-    "negative_sign",
-    "odd_valuation",
-    "odd_prime_power_valuation",
-    "split_theorem",
-    "non_residue_witness",
-    "exact_non_square",
-    "counterexample",
-    "unresolved",
-)
-
 # fields that must be present (not None) for each kind; all others None
 _REQUIRED_FIELDS = {
     "trivial_n1": (),
@@ -53,6 +41,8 @@ _REQUIRED_FIELDS = {
     "counterexample": (),
     "unresolved": (),
 }
+# every kind, in classify order
+CERT_KINDS = tuple(_REQUIRED_FIELDS)
 _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # every integer field a certificate may carry, in the order sweep files
 # write them
@@ -235,6 +225,10 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         ell, res = cert.ell, cert.residue
         if n < 2:
             return "witness route needs n >= 2"
+        # is_prime proves primality only below 2^64; above, it is a
+        # probable-prime test, and its cost alone stalls the verifier
+        if ell >= 1 << 64:
+            return f"witness modulus has {ell.bit_length()} bits; it must lie below 2^64"
         if ell <= n or not is_prime(ell):
             return f"witness modulus {ell} is not a prime > n"
         if disc_mod(n, ell) != res % ell:

@@ -6,14 +6,16 @@ with a nonzero last entry (the zero polynomial is the empty list).
 Three independent resultant routes live here:
 
   * resultant_mod_p   -- euclidean remainder sequence over F_p,
-  * resultant_exact   -- CRT over machine-word primes from a sieved
-                         progression, with a fast path when the monic
-                         argument is 1 + x + ... + x^(n-1): modulo
-                         p = 1 (mod n)
-                         its roots are the n-th roots of unity, and g
-                         is evaluated at all of them by a mixed-radix
-                         DFT; one extra prime, by the euclidean route,
-                         checks the reconstructed value,
+  * resultant_exact   -- CRT over one descending sequence of sieved
+                         word-size primes, each residue by the
+                         euclidean route, except that when the monic
+                         argument is 1 + x + ... + x^(n-1) the
+                         sequence starts with the primes p = 1 (mod n):
+                         there its roots are the n-th roots of unity,
+                         and g is evaluated at all of them by a
+                         mixed-radix DFT.  The next prime of the
+                         sequence, by the euclidean route, checks the
+                         reconstructed value,
   * resultant_prs     -- subresultant pseudo-remainder sequence over Z.
 
 The last is deliberately kept algorithmically disjoint from the first
@@ -23,6 +25,7 @@ two so it can serve as a cross-check oracle.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -321,13 +324,17 @@ def _is_all_ones(f: list[int]) -> bool:
 def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
     """Exact Res(f, g) for monic f, via CRT over word-size primes.
 
-    The caller must supply bound >= |Res(f, g)|; moduli are accumulated
-    until their product exceeds 2 * bound, after which the symmetric
-    residue is the exact integer.  One more prime of the same
-    progression then checks that value against resultant_mod_p, so a
-    bound below the true magnitude raises ArithmeticError, unless the
-    wrong value happens to agree modulo that prime too.  See
-    product_bound for a rigorous bound.
+    The caller must supply bound >= |Res(f, g)|.  Moduli are taken from
+    one descending prime sequence until their product exceeds 2 * bound,
+    after which the symmetric residue is the exact integer.  For
+    f = 1 + x + ... + x^(n-1) the sequence is the primes p = 1 (mod n),
+    whose residues come from _all_ones_residues, then, should that
+    progression run out, the word primes p != 1 (mod n); for any other
+    f it is the word primes.  Every other residue comes from
+    resultant_mod_p.  The next prime of the sequence then checks the
+    value against resultant_mod_p, so a bound below the true magnitude
+    raises ArithmeticError, unless the wrong value happens to agree
+    modulo that prime too.  See product_bound for a rigorous bound.
     """
     f = normalize(f)
     g = normalize(g)
@@ -340,36 +347,24 @@ def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
     target = 2 * bound
     n = len(f)
 
-    residues: list[int] = []
+    all_ones = _is_all_ones(f)
+    primes = _descending_primes_1_mod_n(2)
+    if all_ones:
+        primes = chain(_descending_primes_1_mod_n(n), (p for p in primes if p % n != 1))
     moduli: list[int] = []
     M = 1
-    primes = iter(())
-    if _is_all_ones(f):
-        primes = _descending_primes_1_mod_n(n)
-        for p in primes:
-            moduli.append(p)
-            M *= p
-            if M > target:
-                break
-        residues = _all_ones_residues(n, g, moduli)
-    if M <= target:
-        # generic euclidean route; also the tail if the 1 (mod n)
-        # progression ran out of word-size primes
-        seen = set(moduli)
-        primes = (p for p in _descending_primes_1_mod_n(2) if p not in seen)
-        for p in primes:
-            residues.append(resultant_mod_p(f, g, p))
-            moduli.append(p)
-            M *= p
-            if M > target:
-                break
+    while M <= target:
+        p = next(primes)
+        moduli.append(p)
+        M *= p
+    k = sum(p % n == 1 for p in moduli) if all_ones else 0
+    residues = _all_ones_residues(n, g, moduli[:k])
+    residues += [resultant_mod_p(f, g, p) for p in moduli[k:]]
 
     # symmetric representative; an actual zero resultant lands on 0 here
     R = symmetric_rep(*crt_combine(list(zip(residues, moduli))))
-    # the next prime of the progression, or the first generic one when
-    # there is none (no moduli at bound 0, or the 1 (mod n) primes ran
-    # out exactly at the bound); Euclid there is independent of the DFT
-    check = next(primes, None) or next(p for p in _descending_primes_1_mod_n(2) if p % n != 1)
+    # Euclid at the next prime of the sequence is independent of the DFT
+    check = next(primes)
     if resultant_mod_p(f, g, check) != R % check:
         raise ArithmeticError(
             f"resultant_exact: the CRT value disagrees with Res(f, g) mod {check}; "

@@ -186,18 +186,6 @@ def scan_sweep_file(path: Path) -> tuple[dict[int, str], int]:
     return done, keep
 
 
-_WORKER_CONFIG: ClassifyConfig | None = None
-
-
-def _worker_init(config: ClassifyConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _worker_classify(n: int) -> dict:
-    return classify_record(n, _WORKER_CONFIG)
-
-
 def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
     """Classify every target and append one JSONL record per n.
 
@@ -236,12 +224,8 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
             for n in targets:
                 emit(classify_record(n, config.classify))
         else:
-            with ProcessPoolExecutor(
-                max_workers=config.jobs,
-                initializer=_worker_init,
-                initargs=(config.classify,),
-            ) as pool:
-                pending = {pool.submit(_worker_classify, n) for n in targets}
+            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+                pending = {pool.submit(classify_record, n, config.classify) for n in targets}
                 while pending:
                     finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for fut in finished:

@@ -38,16 +38,7 @@ from .arith import (
     max_prime_power_upto,
     primes_upto,
 )
-from .poly import normalize, product_bound, psi_poly, resultant_exact, resultant_mod_p, resultant_prs
-
-
-@dataclass(frozen=True)
-class ReducedLogPoly:
-    """L * F_n reduced modulo the derivative: degree <= n - 2."""
-
-    n: int
-    lcm: int
-    coeffs: tuple[int, ...]
+from .poly import product_bound, psi_poly, resultant_exact, resultant_mod_p, resultant_prs
 
 
 @dataclass(frozen=True)
@@ -74,15 +65,16 @@ def disc_sign(n: int) -> int:
     return -1 if (n * (n - 1) // 2) & 1 else 1
 
 
-def reduced_coeffs(n: int) -> ReducedLogPoly:
-    """Coefficients of A_n; every division here is exact."""
+def reduced_coeffs(n: int) -> list[int]:
+    """Coefficients of A_n, ascending; every division here is exact and
+    the top coefficient is never 0."""
     if n < 2:
         raise ValueError(f"reduced_coeffs requires n >= 2, got {n}")
     L = lcm_upto(n)
     last = L // (n - 1)
     a = [L + L // n - last]
     a.extend(L // k - last for k in range(1, n - 1))
-    return ReducedLogPoly(n=n, lcm=L, coeffs=tuple(a))
+    return a
 
 
 def f_tilde(n: int) -> list[int]:
@@ -97,7 +89,7 @@ def p_n_exact(n: int) -> int:
     """The integer resultant P_n = Res(1 + x + ... + x^(n-1), A_n)."""
     if n < 2:
         raise ValueError(f"p_n_exact requires n >= 2, got {n}")
-    a = normalize(list(reduced_coeffs(n).coeffs))
+    a = reduced_coeffs(n)
     return resultant_exact(psi_poly(n), a, product_bound(a, n - 1))
 
 

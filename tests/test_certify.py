@@ -211,3 +211,28 @@ def test_verify_interval_checks_come_before_primality(monkeypatch):
     assert reason is not None and "n != 13 *" in reason
     reason = verify_failure(33, Certificate("non_residue_witness", ell=31, residue=3))
     assert reason is not None and "not a prime > n" in reason
+
+
+def test_verify_witness_modulus_lies_below_two_to_the_64(monkeypatch):
+    import logdisc.certify as certify_mod
+
+    def no_call(*args):
+        raise AssertionError("primality or disc_mod reached")
+
+    # is_prime is a proof only below 2^64, and above it the check alone
+    # takes seconds (2^9689 - 1 is a Mersenne prime)
+    with monkeypatch.context() as mp:
+        mp.setattr(certify_mod, "is_prime", no_call)
+        mp.setattr(certify_mod, "disc_mod", no_call)
+        for ell in (1 << 64, 2**127 - 1, 2**9689 - 1):
+            reason = verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=3))
+            assert reason is not None and "below 2^64" in reason
+    # the largest prime below the bound is still checked in full; disc
+    # F_33 happens to be a square mod it
+    ell = 2**64 - 59
+    r = disc_mod(33, ell)
+    reason = verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=r))
+    assert reason == f"{r} is not a non-residue mod {ell}"
+    assert verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=r + 1)) == (
+        f"disc F_33 mod {ell} is not {r + 1}"
+    )

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -127,7 +128,9 @@ def test_sweep_dead_worker_exits_two(tmp_path, capsys, monkeypatch):
     def die(n, config):
         os._exit(1)
 
-    monkeypatch.setattr(sweep_mod, "classify_record", die)
+    # the pool pickles classify_record by name, so the patch goes one
+    # level down, where the forked worker looks it up
+    monkeypatch.setattr(sweep_mod, "classify", die)
     out_path = tmp_path / "s.jsonl"
     code, _, err = run(capsys, "sweep", "--from", "2", "--to", "9",
                        "--out", str(out_path), "--jobs", "2")
@@ -174,3 +177,17 @@ def test_sweep_odd_squares_filter(tmp_path, capsys):
     assert code == 0
     ns = sorted(json.loads(line)["n"] for line in out_path.read_text().splitlines())
     assert ns == [k * k for k in range(3, 32, 2)]
+
+
+def test_verify_witness_modulus_above_two_to_the_64_exits_three(tmp_path, capsys):
+    # a Mersenne prime of 9,689 bits: rejected on its size, not after
+    # seconds of primality testing and Euclid
+    tampered = tmp_path / "t.jsonl"
+    tampered.write_text(json.dumps({
+        "n": 33, "status": "certified",
+        "certificate": {"type": "non_residue_witness", "ell": str(2**9689 - 1), "residue": "3"},
+    }) + "\n")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(tampered))
+    assert code == 3 and "n=33: INVALID" in out and "below 2^64" in out
+    assert time.perf_counter() - t0 < 5

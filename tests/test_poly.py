@@ -168,6 +168,32 @@ def test_resultant_exact_all_ones_path_matches_prs():
             assert got == want, (n, g)
 
 
+def test_resultant_exact_euclid_tail_after_the_progression(monkeypatch):
+    # every sieved sequence capped at 601: the primes = 1 (mod 12) up to
+    # there multiply to about 2^190, far below the bound, so the word
+    # primes != 1 (mod 12) below 601 must follow by Euclid; a prime
+    # taken twice would make crt_combine raise
+    import logdisc.poly as poly
+
+    sieve = poly._descending_primes_1_mod_n
+    monkeypatch.setattr(poly, "_descending_primes_1_mod_n", lambda n, top=601: sieve(n, min(top, 601)))
+    euclid = []
+
+    def counted(f, g, p):
+        euclid.append(p)
+        return resultant_mod_p(f, g, p)
+
+    monkeypatch.setattr(poly, "resultant_mod_p", counted)
+    rng = random.Random(601)
+    f = psi_poly(12)
+    for _ in range(5):
+        g = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(rng.randrange(2, 15))]
+        euclid.clear()
+        assert resultant_exact(f, g, product_bound(g, 11)) == resultant_prs(f, g)
+        # the tail moduli and the check prime
+        assert len(euclid) > 2 and all(p < 601 and p % 12 != 1 for p in euclid)
+
+
 def scan_primes_1_mod_n(n, top=_WORD_PRIME_TOP):
     """Primes p = 1 (mod n), max(n, 2) < p <= top, downward, by is_prime
     on every candidate."""

@@ -75,25 +75,22 @@ ORACLE_X = {
 
 
 def test_reduced_coeffs_small():
-    r2 = reduced_coeffs(2)
-    assert (r2.lcm, r2.coeffs) == (2, (1,))
-    r3 = reduced_coeffs(3)
-    assert (r3.lcm, r3.coeffs) == (6, (5, 3))
-    assert reduced_coeffs(9).coeffs[0] == 2520 + 280 - 315
+    assert reduced_coeffs(2) == [1]
+    assert reduced_coeffs(3) == [5, 3]
+    assert reduced_coeffs(9)[0] == 2520 + 280 - 315
     with pytest.raises(ValueError):
         reduced_coeffs(1)
 
 
 def test_reduced_coeffs_divisions_exact():
     for n in range(2, 60):
-        r = reduced_coeffs(n)
-        L = r.lcm
-        assert L == lcm_upto(n)
-        assert len(r.coeffs) == n - 1
+        a = reduced_coeffs(n)
+        L = lcm_upto(n)
+        assert len(a) == n - 1 and a[-1] != 0
         # direct identity: a_0 = L + L/n - L/(n-1), a_k = L/k - L/(n-1)
-        assert r.coeffs[0] == L + L // n - L // (n - 1)
+        assert a[0] == L + L // n - L // (n - 1)
         for k in range(1, n - 1):
-            assert r.coeffs[k] == L // k - L // (n - 1)
+            assert a[k] == L // k - L // (n - 1)
 
 
 def test_f_tilde():
@@ -110,7 +107,7 @@ def test_reduction_identity():
         L = lcm_upto(n)
         quotient = [L // (n - 1) - L // n, L // n]
         lhs = f_tilde(n)
-        a = list(reduced_coeffs(n).coeffs)
+        a = reduced_coeffs(n)
         prod = poly_mul(psi_poly(n), quotient)
         rhs = [c + (a[i] if i < len(a) else 0) for i, c in enumerate(prod)]
         assert normalize(rhs) == normalize(lhs), n
