@@ -87,17 +87,6 @@ def int_valuation(x: int, p: int) -> int:
     return e
 
 
-def rat_valuation(r: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if r == 0:
-        raise ValueError("valuation of 0 is undefined")
-    if r.numerator % p == 0:
-        return int_valuation(r.numerator, p)
-    if r.denominator % p == 0:
-        return -int_valuation(r.denominator, p)
-    return 0
-
-
 def floor_log(base: int, n: int) -> int:
     """Largest e with base**e <= n, by integer arithmetic only."""
     if base < 2 or n < 1:

@@ -12,22 +12,24 @@ claim from scratch.  Routes, in the order tried:
                               unless q lands in the exceptional set E_m
   * otherwise                 quadratic non-residue witness search,
                               then exact computation as a last resort
+
+The producer runs no Euclid: theorem routes check their closed-form
+residue of P_n, and witnesses are primes ell = 1 (mod n), where a DFT
+over the n-th roots of unity gives P_n mod ell.  verify_failure redoes
+every residue by Euclid and takes a witness at any prime ell > n, so
+files of the former nearest-prime policy still verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .arith import (
-    factorize,
-    floor_log,
-    int_valuation,
-    is_prime,
-    is_rational_square,
-    legendre_symbol,
-    next_prime,
-)
-from .trunclog import disc_exact, disc_mod, in_exceptional_set, p_n_mod
+from .arith import factorize, floor_log, int_valuation, is_prime, is_rational_square, legendre_symbol
+from .arith import next_prime  # noqa: F401  (unused; perfbench traces certify.next_prime)
+from .poly import _NP_MAX_MOD
+from .trunclog import disc_exact, disc_mod, disc_mod_dft, in_exceptional_set, p_n_mod
+from .trunclog import predicted_interval_residue, predicted_prime_power_residue, predicted_split_residue
 
 # fields that must be present (not None) for each kind; all others None
 _REQUIRED_FIELDS = {
@@ -47,6 +49,7 @@ _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # every integer field a certificate may carry, in the order sweep files
 # write them
 CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
+_WITNESS_BATCH = 4  # primes per DFT batch of the witness search
 
 
 @dataclass(frozen=True)
@@ -83,17 +86,24 @@ def bertrand_prime(n: int) -> int:
 
 
 def witness_search(n: int, max_attempts: int) -> tuple[int, int] | None:
-    """Scan primes ell > n for disc F_n mod ell a quadratic non-residue.
+    """First (ell, disc F_n mod ell) with the residue a quadratic
+    non-residue, over the primes ell = 1 (mod n) above n, upward.
 
-    Returns (ell, residue) on success.  Zero residues are skipped: they
-    say nothing about squareness.  None after max_attempts primes.
+    disc_mod_dft gives _WITNESS_BATCH residues at a time; each prime is
+    one attempt, and a zero residue says nothing.  None after
+    max_attempts primes; ArithmeticError once the scan reaches 2^31,
+    where the int64 DFT stops.
     """
-    ell = next_prime(n)
-    for _ in range(max_attempts):
-        r = disc_mod(n, ell)
-        if r and legendre_symbol(r, ell) == -1:
-            return ell, r
-        ell = next_prime(ell)
+    primes = (ell for ell in range(n + 1, _NP_MAX_MOD, n) if is_prime(ell))
+    left = max_attempts
+    while left > 0:
+        batch = list(islice(primes, min(_WITNESS_BATCH, left)))
+        if not batch:
+            raise ArithmeticError(f"witness search for n = {n} reached 2^31")
+        for ell, r in zip(batch, disc_mod_dft(n, batch)):
+            if r and legendre_symbol(r, ell) == -1:
+                return ell, r
+        left -= len(batch)
     return None
 
 
@@ -123,7 +133,7 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
             # interval (2, 2) is empty; the discriminant is cheap exactly
             return _exact_route(4)
         ell = bertrand_prime(n)
-        if p_n_mod(n, ell) == 0:
+        if predicted_interval_residue(n, ell) == 0:
             raise ArithmeticError(f"P_{n} = 0 (mod {ell}) contradicts the interval congruence")
         return Certificate("odd_valuation", ell=ell)
 
@@ -132,14 +142,14 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     if len(fac) == 1:
         ((p, e),) = fac.items()
         if e & 1:
-            if p_n_mod(n, p) == 0:
+            if predicted_prime_power_residue(p, e) == 0:
                 raise ArithmeticError(f"P_{n} = 0 (mod {p}) contradicts the prime power congruence")
             return Certificate("odd_prime_power_valuation", p=p, e=e)
     else:
         q = max(fac)
         m = n // q
         if fac[q] == 1 and q > m and not in_exceptional_set(m, q):
-            if p_n_mod(n, q) == 0:
+            if predicted_split_residue(m, q) == 0:
                 raise ArithmeticError(f"P_{n} = 0 (mod {q}) contradicts the split congruence")
             return Certificate("split_theorem", m=m, q=q)
 

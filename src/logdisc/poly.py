@@ -54,24 +54,6 @@ def degree(p: IntPoly) -> int:
     return len(p) - 1
 
 
-def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return normalize(out)
-
-
-def poly_eval(p: IntPoly, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def psi_poly(n: int) -> IntPoly:
     """1 + x + ... + x^(n-1), the derivative of the degree-n truncated log."""
     if n < 2:
@@ -317,10 +299,6 @@ def _all_ones_residues(n: int, g: list[int], primes: list[int]) -> list[int]:
     return out
 
 
-def _is_all_ones(f: list[int]) -> bool:
-    return len(f) >= 2 and all(c == 1 for c in f)
-
-
 def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
     """Exact Res(f, g) for monic f, via CRT over word-size primes.
 
@@ -347,7 +325,7 @@ def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
     target = 2 * bound
     n = len(f)
 
-    all_ones = _is_all_ones(f)
+    all_ones = all(c == 1 for c in f)
     primes = _descending_primes_1_mod_n(2)
     if all_ones:
         primes = chain(_descending_primes_1_mod_n(n), (p for p in primes if p % n != 1))

@@ -13,6 +13,7 @@ import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -224,12 +225,15 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
             for n in targets:
                 emit(classify_record(n, config.classify))
         else:
+            todo = iter(targets)
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                pending = {pool.submit(classify_record, n, config.classify) for n in targets}
+                # at most 2 * jobs records in flight; each one emitted admits the next n
+                pending = {pool.submit(classify_record, n, config.classify) for n in islice(todo, 2 * config.jobs)}
                 while pending:
                     finished, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for fut in finished:
                         emit(fut.result())
+                        pending.update(pool.submit(classify_record, n, config.classify) for n in islice(todo, 1))
     summary.wall_s = time.perf_counter() - t0
     return summary
 

@@ -26,19 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import (
-    DEFAULT_RHO_BUDGET,
-    PrimeValuation,
-    factorize,
-    floor_log,
-    harmonic,
-    int_valuation,
-    is_prime,
-    lcm_upto,
-    max_prime_power_upto,
-    primes_upto,
-)
-from .poly import product_bound, psi_poly, resultant_exact, resultant_mod_p, resultant_prs
+from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
+from .arith import is_prime, lcm_upto, max_prime_power_upto, primes_upto
+from .poly import _NP_MAX_MOD, _all_ones_residues, product_bound, psi_poly
+from .poly import resultant_exact, resultant_mod_p, resultant_prs
 
 
 @dataclass(frozen=True)
@@ -176,6 +167,13 @@ def disc_from_definition(n: int) -> Fraction:
     return Fraction(disc_sign(n) * n * r, L ** (n - 1))
 
 
+def _disc_from_p_n(n: int, ell: int, pn: int) -> int:
+    """disc F_n mod ell from P_n mod ell: the frame n / L^(n-1) and the sign."""
+    frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
+    r = frame * pn % ell
+    return (-r) % ell if disc_sign(n) < 0 else r
+
+
 def disc_mod(n: int, ell: int) -> int:
     """disc F_n mod ell for a prime ell > n (so the frame is invertible)."""
     if n < 2:
@@ -184,10 +182,17 @@ def disc_mod(n: int, ell: int) -> int:
         raise ValueError(f"modulus too small: {ell} <= {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    pn = p_n_mod(n, ell)
-    frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
-    r = frame * pn % ell
-    return (-r) % ell if disc_sign(n) < 0 else r
+    return _disc_from_p_n(n, ell, p_n_mod(n, ell))
+
+
+def disc_mod_dft(n: int, ells: list[int]) -> list[int]:
+    """disc F_n mod ell for each prime ell = 1 (mod n), n < ell < 2^31,
+    with P_n mod ell from the DFT over the n-th roots of unity in F_ell."""
+    for ell in ells:
+        if ell % n != 1 or not n < ell < _NP_MAX_MOD or not is_prime(ell):
+            raise ValueError(f"modulus must be a prime = 1 (mod {n}) in ({n}, 2^31), got {ell}")
+    pns = _all_ones_residues(n, reduced_coeffs(n), ells)
+    return [_disc_from_p_n(n, ell, pn) for ell, pn in zip(ells, pns)]
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +245,15 @@ def in_exceptional_set(m: int, ell: int) -> bool:
         x_of(m).numerator % ell == 0
         or harmonic(m).numerator % ell == 0
     )
+
+
+def predicted_interval_residue(n: int, ell: int) -> int:
+    """Predicted P_n mod ell for n = 0 (mod 4) and a prime ell in
+    (n/2, n-2): -(L/ell)^(n-1) mod ell, nonzero; ell^2 > n, so L/ell is
+    the product of the maximal prime powers away from ell."""
+    if n % 4 or not n // 2 < ell < n - 2 or not is_prime(ell):
+        raise ValueError("predicted_interval_residue needs n = 0 (mod 4) and a prime ell in (n/2, n-2)")
+    return -pow(_lcm_mod(n, ell, skip=ell), n - 1, ell) % ell
 
 
 def predicted_prime_power_residue(p: int, e: int) -> int:

@@ -7,14 +7,15 @@ they complete.
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
+from helpers import rat_valuation
 from logdisc.arith import (
     int_valuation,
     lcm_upto,
     legendre_symbol,
     next_prime,
-    rat_valuation,
 )
 from logdisc.certify import bertrand_prime, classify, verify_certificate
 from logdisc.poly import resultant_exact, resultant_prs
@@ -26,6 +27,7 @@ from logdisc.trunclog import (
     exceptional_set,
     p_n_exact,
     p_n_mod,
+    predicted_interval_residue,
     predicted_prime_power_residue,
     predicted_split_residue,
 )
@@ -199,12 +201,35 @@ def test_criterion_6_theorem_congruences():
         ell = bertrand_prime(n)
         want = (-pow(lcm_upto(n) // ell, n - 1, ell)) % ell
         got = p_n_mod(n, ell)
-        ok_interval &= got == want and got != 0
+        ok_interval &= got == want and got != 0 and predicted_interval_residue(n, ell) == want
+
+    # the closed forms classify relies on, on every theorem-route n of
+    # the range-sweep benchmark's window
+    routes = Counter()
+    ok_routes = True
+    for n in range(2, 1301):
+        cert = classify(n)
+        if cert.kind == "odd_valuation":
+            ell, want = cert.ell, predicted_interval_residue(n, cert.ell)
+        elif cert.kind == "odd_prime_power_valuation":
+            ell, want = cert.p, predicted_prime_power_residue(cert.p, cert.e)
+        elif cert.kind == "split_theorem":
+            ell, want = cert.q, predicted_split_residue(cert.m, cert.q)
+        else:
+            continue
+        routes[cert.kind] += 1
+        ok_routes &= want != 0 and p_n_mod(n, ell) == want
 
     ok = (
         report("prime power residues match for n in {9,...,169}", ok_pp)
         & report("split congruence matches for all valid (m,q), mq <= 200", ok_split)
         & report("interval congruence matches for n = 0 (mod 4), 8..100", ok_interval)
+        & report(
+            "closed-form residue = Euclid and nonzero on every theorem-route n in 2..1300",
+            ok_routes
+            and routes == {"odd_valuation": 324, "split_theorem": 150, "odd_prime_power_valuation": 105},
+            str(dict(routes)),
+        )
     )
     assert ok
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rat_valuation
 from logdisc.arith import (
     FactorizationBudgetError,
     crt_combine,
@@ -19,7 +20,6 @@ from logdisc.arith import (
     legendre_symbol,
     next_prime,
     primes_upto,
-    rat_valuation,
     symmetric_rep,
 )
 

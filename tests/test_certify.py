@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from logdisc.arith import is_prime, is_rational_square, rat_valuation
+from helpers import rat_valuation
+from logdisc.arith import is_prime, is_rational_square
 from logdisc.certify import (
     Certificate,
     ClassifyConfig,
@@ -33,30 +34,49 @@ def test_bertrand_prime_rejects():
 
 
 def test_witness_search_pinned():
-    assert witness_search(333, 10) == (337, 157)
-    assert witness_search(33, 10) == (37, 14)
-    assert witness_search(505, 10) == (509, 200)
+    # witnesses are taken at primes ell = 1 (mod n)
+    assert witness_search(333, 10) == (3331, 3148)
+    assert witness_search(33, 10) == (199, 39)
+    assert witness_search(505, 10) == (5051, 1018)
+
+
+def test_nearest_prime_witnesses_still_verify():
+    # certificates of the former nearest-prime policy, as old files hold them
+    for n, ell, res in ((33, 37, 14), (333, 337, 157), (505, 509, 200)):
+        assert verify_certificate(n, Certificate("non_residue_witness", ell=ell, residue=res))
 
 
 def test_witness_search_scans_in_order():
-    # replay the scan by hand and confirm the first hit is returned
-    from logdisc.arith import legendre_symbol, next_prime
+    # replay the scan over the primes ell = 1 (mod n) by hand, with the
+    # euclidean disc_mod, and confirm the first hit is returned
+    from logdisc.arith import legendre_symbol
 
-    for n in (9, 25, 49, 121):
+    for n in (9, 25, 33, 49, 121, 165):
         found = witness_search(n, 50)
         assert found is not None
         ell, res = found
-        probe = next_prime(n)
-        while probe < ell:
-            r = disc_mod(n, probe)
-            assert r == 0 or legendre_symbol(r, probe) == 1, (n, probe)
-            probe = next_prime(probe)
+        assert ell % n == 1
+        for probe in range(n + 1, ell, n):
+            if is_prime(probe):
+                r = disc_mod(n, probe)
+                assert r == 0 or legendre_symbol(r, probe) == 1, (n, probe)
         assert disc_mod(n, ell) == res
         assert legendre_symbol(res, ell) == -1
 
 
 def test_witness_search_budget_exhaustion():
     assert witness_search(9, 0) is None
+    # each prime is one attempt, also inside a batch: 9's first witness
+    # is its third prime = 1 (mod 9), 73
+    assert witness_search(9, 2) is None
+    assert witness_search(9, 3) == (73, 21)
+
+
+def test_witness_search_stops_below_two_to_the_31():
+    # the DFT works in int64, so a modulus of 2^31 or more must never
+    # reach it; every candidate kn + 1 for n = 2^31 - 1 is at least 2^31
+    with pytest.raises(ArithmeticError, match="2\\^31"):
+        witness_search((1 << 31) - 1, 1)
 
 
 def test_classify_routing():
@@ -74,9 +94,9 @@ def test_classify_routing():
     assert classify(205) == Certificate("split_theorem", m=5, q=41)
     assert classify(221) == Certificate("split_theorem", m=13, q=17)
     # 33 = 3*11 but 11 is exceptional for m = 3: witness route
-    assert classify(33) == Certificate("non_residue_witness", ell=37, residue=14)
+    assert classify(33) == Certificate("non_residue_witness", ell=199, residue=39)
     # 505 = 5*101 with 101 exceptional for m = 5
-    assert classify(505) == Certificate("non_residue_witness", ell=509, residue=200)
+    assert classify(505) == Certificate("non_residue_witness", ell=5051, residue=1018)
     # even prime power exponent gives no parity: witness route
     assert classify(25).kind == "non_residue_witness"
     assert classify(625).kind == "non_residue_witness"

@@ -53,7 +53,7 @@ def test_classify_json(capsys):
     rec = json.loads(out)
     assert rec["n"] == 33
     assert rec["status"] == "certified"
-    assert rec["certificate"] == {"type": "non_residue_witness", "ell": "37", "residue": "14"}
+    assert rec["certificate"] == {"type": "non_residue_witness", "ell": "199", "residue": "39"}
 
 
 def test_classify_unresolved_exit_code(capsys):
@@ -87,11 +87,11 @@ def test_help_exits_zero(capsys):
 
 
 def test_sweep_passes_classify_options(tmp_path, capsys):
-    # n = 25 needs the witness search; one attempt fails, and the cap
+    # n = 9 needs the witness search; one attempt fails, and the cap
     # keeps the exact fallback from running
     out_path = tmp_path / "s.jsonl"
-    code, out, _ = run(capsys, "sweep", "--from", "25", "--to", "25", "--out", str(out_path),
-                       "--max-witness-attempts", "1", "--exact-degree-cap", "24")
+    code, out, _ = run(capsys, "sweep", "--from", "9", "--to", "9", "--out", str(out_path),
+                       "--max-witness-attempts", "1", "--exact-degree-cap", "8")
     assert code == 4 and "unresolved 1" in out
     rec = json.loads(out_path.read_text())
     assert rec["certificate"] == {"type": "unresolved", "witness_attempts": "1"}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import poly_eval, poly_mul
 from logdisc.arith import factorize, is_prime
 from logdisc.poly import (
     _WORD_PRIME_TOP,
@@ -15,8 +16,6 @@ from logdisc.poly import (
     _unity_dft,
     degree,
     normalize,
-    poly_eval,
-    poly_mul,
     product_bound,
     psi_poly,
     resultant_exact,

@@ -1,5 +1,9 @@
+import hashlib
 import json
 import random
+from collections import Counter
+from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,7 @@ from logdisc.sweep import (
 
 def load_records(path):
     out = {}
-    for line in open(path):
+    for line in Path(path).read_text().splitlines():
         rec = json.loads(line)
         out[rec["n"]] = (rec["status"], json.dumps(rec["certificate"], sort_keys=True))
     return out
@@ -130,6 +134,67 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     run_sweep(SweepConfig(2, 80, out=str(b), jobs=4))
     ra, rb = load_records(a), load_records(b)
     assert ra == rb
+
+
+def test_run_sweep_bounds_work_in_flight(tmp_path, monkeypatch):
+    import logdisc.sweep as sweep_mod
+
+    class CountingPool:
+        # runs each task at once; a future counts as outstanding until
+        # the sweep reads its result
+        outstanding: set = set()
+        peak = 0
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            pool = CountingPool
+
+            class Tracked(Future):
+                def result(self, timeout=None):
+                    pool.outstanding.discard(self)
+                    return super().result(timeout)
+
+            fut = Tracked()
+            fut.set_result(fn(*args))
+            pool.outstanding.add(fut)
+            pool.peak = max(pool.peak, len(pool.outstanding))
+            return fut
+
+    serial = tmp_path / "serial.jsonl"
+    pooled = tmp_path / "pooled.jsonl"
+    run_sweep(SweepConfig(2, 60, out=str(serial)))
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", CountingPool)
+    summary = run_sweep(SweepConfig(2, 60, out=str(pooled), jobs=3))
+    assert CountingPool.peak == 6 and not CountingPool.outstanding
+    assert summary.certified == 59 and summary.clean
+    assert load_records(pooled) == load_records(serial)
+
+
+def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
+    # the range-sweep benchmark's window: every record verifies, and
+    # every certificate off the witness route is byte for byte the one
+    # the euclidean producer wrote
+    out = tmp_path / "sweep.jsonl"
+    summary = run_sweep(SweepConfig(2, 1201, out=str(out)))
+    report = verify_file(out)
+    assert summary.certified == 1200 and report.ok and report.total == 1200
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert Counter(r["certificate"]["type"] for r in records) == {
+        "negative_sign": 600, "odd_valuation": 299, "split_theorem": 137,
+        "odd_prime_power_valuation": 97, "non_residue_witness": 66, "exact_non_square": 1,
+    }
+    kept = sorted((r["n"], json.dumps(r["certificate"], sort_keys=True)) for r in records
+                  if r["certificate"]["type"] != "non_residue_witness")
+    digest = hashlib.sha256("".join(f"{n} {c}\n" for n, c in kept).encode()).hexdigest()
+    assert digest == "dc474514f2da9366b5b872a8ec9ae15d4f518b251a2e11272e1d1b90d7c3a295"
 
 
 def test_run_sweep_resume_after_truncation(tmp_path):

@@ -2,20 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import poly_mul, rat_valuation
 from logdisc.arith import (
     is_prime,
     lcm_upto,
     legendre_symbol,
     next_prime,
     primes_upto,
-    rat_valuation,
 )
-from logdisc.poly import normalize, poly_mul, psi_poly, resultant_prs
+from logdisc.poly import normalize, psi_poly, resultant_prs
 from logdisc.trunclog import (
     disc_exact,
     disc_from_definition,
     disc_mod,
+    disc_mod_dft,
     disc_sign,
     exceptional_set,
     f_tilde,
@@ -23,6 +26,7 @@ from logdisc.trunclog import (
     in_exceptional_set,
     p_n_exact,
     p_n_mod,
+    predicted_interval_residue,
     predicted_prime_power_residue,
     predicted_split_residue,
     reduced_coeffs,
@@ -198,6 +202,26 @@ def test_disc_mod_pinned_values():
     assert disc_mod(685, 709) == 443
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 150), st.integers(1, (1 << 31) // 601))
+def test_disc_mod_dft_matches_disc_mod(j, k):
+    # n = 1 (mod 4) in 5..601, three primes ell = 1 (mod n) from kn + 1 up
+    n = 4 * j + 1
+    ells, ell = [], k * n + 1
+    while len(ells) < 3 and ell < 1 << 31:
+        if is_prime(ell):
+            ells.append(ell)
+        ell += n
+    assert disc_mod_dft(n, ells) == [disc_mod(n, ell) for ell in ells]
+
+
+def test_disc_mod_dft_rejects_moduli_outside_its_range():
+    # too small twice, composite, not 1 (mod 11), a prime = 1 (mod 11) above 2^31
+    for ell in (1, 7, 12, 13, 2147483713):
+        with pytest.raises(ValueError, match="= 1 \\(mod 11\\)"):
+            disc_mod_dft(11, [ell])
+
+
 def test_disc_mod_rejects_small_or_composite():
     with pytest.raises(ValueError, match="too small"):
         disc_mod(10, 7)
@@ -252,6 +276,13 @@ def test_in_exceptional_set_avoids_factorization():
     assert in_exceptional_set(13, 9901) in (True, False)
     with pytest.raises(ValueError):
         in_exceptional_set(1, 5)
+
+
+def test_predicted_interval_residue():
+    assert predicted_interval_residue(8, 5) == p_n_mod(8, 5)
+    for n, ell in ((8, 7), (12, 5), (12, 9), (10, 7)):
+        with pytest.raises(ValueError):
+            predicted_interval_residue(n, ell)
 
 
 def test_predicted_prime_power_residue():
