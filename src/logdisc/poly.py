@@ -39,6 +39,10 @@ IntPoly = list[int]
 # product of two residues stays inside int64; above it, on object
 # arrays of Python ints
 _NP_MAX_MOD = 1 << 31
+# the first division of resultant_mod_p, f mod g, takes _sparse_polymod
+# when g mod p has at most deg(g) / _SPARSE_DIV nonzero coefficients
+# below its top
+_SPARSE_DIV = 8
 
 
 def normalize(coeffs: list[int]) -> IntPoly:
@@ -77,22 +81,46 @@ def _reduce_mod(p: list[int], m: int) -> list[int]:
 
 
 def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a mod b over F_p; both already reduced, b nonzero."""
+    """a mod b over F_p; both already reduced, b nonzero.
+
+    Works in place: a is overwritten, and the remainder returned is a
+    view of it, so the caller must not use a afterwards.
+    """
     db = len(b) - 1
     if len(a) - 1 < db:
         return a
-    r = a.copy()
     inv = pow(int(b[-1]), -1, p)
     bl = b[:db]
+    prod = np.empty_like(bl)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = int(a[i])
+        if c:
+            seg = a[i - db : i]
+            np.multiply(bl, c * inv % p, out=prod)
+            seg -= prod
+            seg %= p
+    k = db
+    while k and not a[k - 1]:
+        k -= 1
+    return a[:k]
+
+
+def _sparse_polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """_polymod by a loop over Python ints that touches only the
+    nonzero columns of b below its top: for each quotient term, one
+    update per such column and no numpy call."""
+    db = len(b) - 1
+    r = a.tolist()
+    inv = pow(int(b[-1]), -1, p)
+    cols = [(j, p - c) for j, c in enumerate(b[:db].tolist()) if c]  # (j, -b_j)
     for i in range(len(r) - 1, db - 1, -1):
-        c = int(r[i])
+        c = r[i]
         if c:
             c = c * inv % p
-            seg = r[i - db : i]
-            seg -= c * bl
-            seg %= p
-    nz = np.flatnonzero(r[:db])
-    return r[: nz[-1] + 1] if nz.size else r[:0]
+            base = i - db
+            for j, m in cols:
+                r[base + j] = (r[base + j] + c * m) % p
+    return np.array(normalize(r[:db]), dtype=a.dtype)
 
 
 def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
@@ -100,12 +128,19 @@ def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
 
     Handles any drop in the degree of g mod p; returns 0 exactly when
     f and g share a root over F_p (or g vanishes identically mod p).
+    The loop is euclid over F_p on numpy arrays (int64 below
+    _NP_MAX_MOD, Python ints above), on copies of f and g, never on the
+    caller's lists.  Whether the first division f mod g runs on the
+    nonzero columns of g alone (_sparse_polymod) is decided once per
+    call, from g mod p only; every later division is dense (_polymod).
     """
     a = _reduce_mod(f, p)
     if len(a) < 2 or a[-1] != 1:
         raise ValueError("f must be monic of degree >= 1 modulo p")
     dtype = np.int64 if p < _NP_MAX_MOD else object
     a, b = np.array(a, dtype=dtype), np.array(_reduce_mod(g, p), dtype=dtype)
+    sparse = np.count_nonzero(b[:-1]) * _SPARSE_DIV <= len(b) - 1
+    polymod = _sparse_polymod if sparse else _polymod
     res = 1
     while True:
         if not len(b):
@@ -113,7 +148,8 @@ def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
             return res * pow(int(b[0]), da, p) % p
-        r = _polymod(a, b, p)
+        r = polymod(a, b, p)
+        polymod = _polymod
         if not len(r):
             return 0
         if da & db & 1:

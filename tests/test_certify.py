@@ -1,6 +1,8 @@
 import dataclasses
+from functools import lru_cache
 
 import pytest
+import sympy
 
 from helpers import rat_valuation
 from logdisc.arith import is_prime, is_rational_square
@@ -171,6 +173,51 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(8, Certificate("odd_valuation"))
     # unknown kind
     assert not verify_certificate(33, Certificate("definitely_fine"))
+
+
+@lru_cache(maxsize=None)
+def _exact_disc(n):
+    return disc_exact(n).exact
+
+
+def _claim_holds(n, cert):
+    """Whether cert's claim about n is true, by oracles the verifier does
+    not use: disc F_n from the exact P_n, and sympy's isprime and
+    legendre_symbol (a test-only dependency)."""
+    if cert.kind == "non_residue_witness":
+        ell, d = cert.ell, _exact_disc(n)
+        return (ell > n and sympy.isprime(ell)
+                and d.numerator * pow(d.denominator, -1, ell) % ell == cert.residue % ell
+                and sympy.legendre_symbol(cert.residue % ell, ell) == -1)
+    # the valuation routes: an odd power of a prime divides disc F_n
+    if cert.kind == "odd_valuation":
+        prime, shape = cert.ell, n % 4 == 0 and n // 2 < cert.ell < n - 2
+    elif cert.kind == "odd_prime_power_valuation":
+        prime, shape = cert.p, n % 4 == 1 and cert.p**cert.e == n
+    elif cert.kind == "split_theorem":
+        prime, shape = cert.q, n % 4 == 1 and cert.m * cert.q == n and 2 <= cert.m < cert.q
+    else:
+        raise AssertionError(f"no integer fields on {cert.kind}")
+    return shape and sympy.isprime(prime) and rat_valuation(_exact_disc(n), prime) % 2 == 1
+
+
+def test_verify_accepts_no_tampered_certificate_with_a_false_claim():
+    # every certificate of sweep 2..300 with one field moved by a nonzero
+    # amount: a mutant the verifier accepts must be a true certificate
+    mutants = accepted = 0
+    for n in range(2, 301):
+        cert = classify(n)
+        for name in ("ell", "p", "e", "m", "q", "residue"):
+            v = getattr(cert, name)
+            if v is None:
+                continue
+            for delta in (-2, -1, 1, 2, 6, n, v):
+                mutant = dataclasses.replace(cert, **{name: v + delta})
+                mutants += 1
+                if verify_failure(n, mutant) is None:
+                    accepted += 1
+                    assert _claim_holds(n, mutant), (n, mutant)
+    assert mutants > 1500 and accepted > 0
 
 
 def test_verify_route_hypotheses():

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logdisc.poly as poly
 from helpers import poly_eval, poly_mul
 from logdisc.arith import factorize, is_prime
 from logdisc.poly import (
@@ -143,6 +145,48 @@ def test_resultant_mod_p_matches_unity_dft():
         exact = resultant_exact(f, g, product_bound(g, n - 1))
         for p in (10007, (1 << 31) - 1, (1 << 61) - 1):
             assert resultant_mod_p(f, g, p) == exact % p
+
+
+# 2, word primes, the last int64 modulus 2^31 - 1, the first object one
+# 2^31 + 11, and a 61-bit prime
+SPARSE_PRIMES = [2, 10007, (1 << 31) - 1, (1 << 31) + 11, (1 << 61) - 1]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_resultant_mod_p_sparse_first_division(data):
+    # g mod p of degree d with 0, d // 8 or d // 8 + 1 nonzero coefficients
+    # below its top: the first division is sparse exactly when there are
+    # at most d / 8, and either way Res mod p must equal the PRS oracle
+    # and euclid with every division dense
+    p = data.draw(st.sampled_from(SPARSE_PRIMES))
+    d = data.draw(st.integers(8, 40))
+    k = data.draw(st.sampled_from([0, d // 8, d // 8 + 1]))
+    g = [0] * (d + 1)
+    for j in data.draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k, unique=True)):
+        g[j] = data.draw(st.integers(1, p - 1)) + p * data.draw(st.integers(-2, 2))
+    g[d] = data.draw(st.integers(1, p - 1))
+    if data.draw(st.booleans()):
+        g.append(p * data.draw(st.integers(1, 3)))  # a leading coefficient = 0 (mod p)
+    h = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=2 * d)) + [1]
+    shared = data.draw(st.booleans())
+    if shared:
+        # f = h * g / lc(g) mod p: g divides f, a zero first remainder
+        inv = pow(g[d], -1, p)
+        f = [c * inv % p for c in poly_mul(g[: d + 1], h)]
+    else:
+        f = h
+    f0, g0 = list(f), list(g)
+    with mock.patch.object(poly, "_sparse_polymod", wraps=poly._sparse_polymod) as sparse:
+        got = resultant_mod_p(f, g, p)
+    assert sparse.call_count == (8 * k <= d)
+    with mock.patch.object(poly, "_sparse_polymod", poly._polymod):
+        dense = resultant_mod_p(f, g, p)
+    assert got == dense == resultant_prs(f, g) % p
+    if shared:
+        assert got == 0
+    # the in-place remainder step must work on copies of the caller's lists
+    assert f == f0 and g == g0
 
 
 def test_resultant_exact_matches_prs_random():

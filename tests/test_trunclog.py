@@ -194,6 +194,23 @@ def test_disc_mod_matches_exact_reduction():
             ell = next_prime(ell)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 150), st.integers(1, 2000), st.integers(1, 5000), st.integers(0, 1 << 20))
+def test_disc_mod_matches_exact_reduction_property(n, k, j, t):
+    # three primes ell > n: one = 1 (mod n), one != 1 (mod n) (n = 2 has
+    # none), and one above 2^31, where euclid runs on object arrays
+    ell = k * n + 1
+    while not is_prime(ell):
+        ell += n
+    other = next_prime(n + j)
+    while other % n == 1:
+        other = next_prime(other)
+    big = next_prime((1 << 31) + t)
+    d = disc_exact(n).exact
+    for ell in (ell, other, big):
+        assert disc_mod(n, ell) == d.numerator * pow(d.denominator, -1, ell) % ell, (n, ell)
+
+
 def test_disc_mod_pinned_values():
     assert disc_mod(33, 37) == 14
     assert disc_mod(77, 79) == 39
