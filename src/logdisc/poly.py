@@ -233,6 +233,34 @@ _BATCH = 256
 # limb columns per int64 matmul: 2**15 products below 2**16 * 2**31 stay
 # under 2**62
 _LIMB_CHUNK = 1 << 15
+# _dft takes a radix r with _MATMUL_RADIX <= r < _MATMUL_RADIX_TOP as one
+# int64 matmul over 16-bit limbs and any other radix by Horner; r
+# products below 2**16 * 2**31 sum to less than 2**63 while r < 2**16
+_MATMUL_RADIX = 11
+_MATMUL_RADIX_TOP = 1 << 16
+# the matmul builds its matrix of roots for at most _MATMUL_PRIMES primes
+# and _MATMUL_CELLS entries at a time
+_MATMUL_PRIMES = 32
+_MATMUL_CELLS = 1 << 17
+
+
+def _power_table(base: np.ndarray, P: np.ndarray, count: int) -> np.ndarray:
+    """base[b]^e mod P[b] for e = 0 .. count - 1, as a (len(P), count)
+    int64 array, for residues base[b] of primes P[b] below 2^31.
+
+    Filled by doubling, T[:, k:2k] = T[:, :k] * base^k, so in
+    ceil(log2 count) products rather than one per column.
+    """
+    Pc = P[:, None]
+    T = np.empty((len(P), count), dtype=np.int64)
+    T[:, 0] = 1
+    k = 1
+    while k < count:
+        step = T[:, k - 1 : k] * base[:, None] % Pc  # base^k
+        j = min(k, count - k)
+        T[:, k : k + j] = T[:, :j] * step % Pc
+        k *= 2
+    return T
 
 
 def _residue_table(a: list[int], P: np.ndarray) -> np.ndarray:
@@ -246,12 +274,7 @@ def _residue_table(a: list[int], P: np.ndarray) -> np.ndarray:
     L = max(1, -(-nbits // 16))
     blob = b"".join(abs(c).to_bytes(2 * L, "little") for c in a)
     limbs = np.frombuffer(blob, dtype="<u2").reshape(len(a), L).astype(np.int64)
-    T = np.empty((L, len(P)), dtype=np.int64)  # T[i] = 2^(16 i) mod P
-    T[0] = 1
-    k = 1
-    while k < L:
-        T[k : 2 * k] = T[: min(k, L - k)] * (T[k - 1] * 65536 % P) % P
-        k *= 2
+    T = _power_table(65536 % P, P, L).T  # T[i] = 2^(16 i) mod P
     C = np.zeros((len(a), len(P)), dtype=np.int64)
     for s in range(0, L, _LIMB_CHUNK):
         C += limbs[:, s : s + _LIMB_CHUNK] @ T[s : s + _LIMB_CHUNK]
@@ -268,9 +291,16 @@ def _dft(a: np.ndarray, P: np.ndarray, pw: np.ndarray, t: int, radices: list[int
     P[b] for a zeta of order n = pw.shape[1], and
     w has order N = prod(radices).  Decimation in time over r =
     radices[0], N = r * m: with Y_j the length-m DFT of a[j::r] at w^r,
-    X[k + m * q] = sum_j (w^m)^(j * q) * w^(j * k) * Y_j[k].  The r-point
-    DFTs, and so the leaves, are direct Horner evaluations.  Every
+    X[k + m * q] = sum_j (w^m)^(j * q) * w^(j * k) * Y_j[k].  Every
     product of two residues below 2^31 is reduced at once.
+
+    The r-point DFTs, and so the leaves, are direct evaluations.  A
+    radix below _MATMUL_RADIX, or at or above _MATMUL_RADIX_TOP, takes
+    r - 1 Horner steps.  Any other radix takes one int64 matmul by
+    W[b, q, j] = (w^m)^(q * j) mod P[b], with the Y_j[k] split into
+    16-bit limbs hi * 2^16 + lo: each sum of r products of a limb and a
+    residue, and then (sum over hi mod P[b]) * 2^16 + (sum over lo),
+    stays below (r + 1) * 2^47 <= 2^63, and is reduced once.
     """
     B, s, N = a.shape
     n = pw.shape[1]
@@ -282,18 +312,45 @@ def _dft(a: np.ndarray, P: np.ndarray, pw: np.ndarray, t: int, radices: list[int
         y = y * pw[:, None, t * np.outer(np.arange(r), np.arange(m)) % n] % P
     else:
         y = a.reshape(B, s, r, 1)
-    x = pw[:, None, t * m * np.arange(r) % n, None]
-    acc = np.repeat(y[:, :, r - 1 :], r, axis=2)
-    for j in range(r - 2, -1, -1):
-        acc *= x
-        acc += y[:, :, j : j + 1]
-        acc %= P
-    return acc.reshape(B, s, N)
+    if not _MATMUL_RADIX <= r < _MATMUL_RADIX_TOP:
+        x = pw[:, None, t * m * np.arange(r) % n, None]
+        acc = np.repeat(y[:, :, r - 1 :], r, axis=2)
+        for j in range(r - 2, -1, -1):
+            acc *= x
+            acc += y[:, :, j : j + 1]
+            acc %= P
+        return acc.reshape(B, s, N)
+    # W is symmetric, so X^T = y^T W: the rows y[b, s, :, k] enter as their
+    # low limbs, then as their high limbs, and X = hi * 2^16 + lo mod P
+    sm = s * m
+    yt = y.transpose(0, 1, 3, 2).reshape(B, sm, r)
+    X = np.empty((B, s, r, m), dtype=np.int64)
+    bp = max(1, min(_MATMUL_PRIMES, _MATMUL_CELLS // (r * r)))
+    bq = max(1, min(r, _MATMUL_CELLS // (bp * r)))
+    for q in range(0, r, bq):
+        # rows q .. q + bq - 1 of W are pw[:, e]
+        e = np.outer(np.arange(q, min(q + bq, r)), t * m * np.arange(r) % n) % n
+        for i in range(0, B, bp):
+            yc, Pc = yt[i : i + bp], P[i : i + bp, 0]
+            W = np.take(pw[i : i + bp], e, axis=1)
+            prod = np.concatenate([yc & 0xFFFF, yc >> 16], axis=1) @ W.transpose(0, 2, 1)
+            lo, hi = prod[:, :sm], prod[:, sm:]
+            hi %= Pc
+            hi <<= 16
+            hi += lo
+            np.remainder(hi.reshape(-1, s, m, len(e)), Pc[..., None],
+                         out=X[i : i + bp, :, q : q + bq].transpose(0, 1, 3, 2))
+    return X.reshape(B, s, N)
 
 
 def _unity_dft(n: int, g: list[int], primes: list[int]) -> np.ndarray:
     """g(zeta^k) mod p for k = 0 .. n-1, one row per prime p = 1 (mod n),
-    where zeta = _order_n_root(n, p); g may be longer than n."""
+    where zeta = _order_n_root(n, p); g may be longer than n.
+
+    The powers zeta^e mod p, e < n, come from _power_table by doubling,
+    the coefficients of g mod x^n - 1 mod p from _residue_table, and
+    the DFT from _dft.
+    """
     n_factors = factorize(n)
     radices = [q for q, e in sorted(n_factors.items()) for _ in range(e)]
     a = [0] * n  # g mod x^n - 1, zero-padded to length n
@@ -301,10 +358,7 @@ def _unity_dft(n: int, g: list[int], primes: list[int]) -> np.ndarray:
         a[i % n] += c
     P = np.array(primes, dtype=np.int64)
     Z = np.array([_order_n_root(n, p, n_factors) for p in primes], dtype=np.int64)
-    pw = np.empty((len(primes), n), dtype=np.int64)
-    pw[:, 0] = 1
-    for k in range(1, n):
-        pw[:, k] = pw[:, k - 1] * Z % P
+    pw = _power_table(Z, P, n)
     C = _residue_table(a, P)
     return _dft(C[:, None, :], P[:, None, None, None], pw, 1, radices)[:, 0, :]
 
@@ -317,7 +371,8 @@ def _all_ones_residues(n: int, g: list[int], primes: list[int]) -> list[int]:
     all but the first value of a length-n DFT of g mod x^n - 1.  The DFT
     is mixed-radix over the prime factors of n, about n * (sum of those
     factors) products per prime instead of n^2, and runs as int64
-    arrays over batches of primes.
+    arrays over batches of primes: Horner steps for the small factors,
+    one int64 matmul for each factor from _MATMUL_RADIX up (see _dft).
     """
     out: list[int] = []
     for i in range(0, len(primes), _BATCH):

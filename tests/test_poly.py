@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from logdisc.poly import (
     resultant_mod_p,
     resultant_prs,
 )
+from logdisc.trunclog import p_n_exact
 
 
 def hadamard_bound(f, g):
@@ -271,10 +273,22 @@ def test_sieved_progression_resumes_and_bounds_top():
         next(_descending_primes_1_mod_n(3, _WORD_PRIME_TOP + 2))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 37, 100, 102, 128, 333])
+def eval_mod(g, x, p):
+    """g(x) mod p by Horner over Python ints."""
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % p
+    return acc
+
+
+# primes and prime powers, mixed factorisations, a radix at the matmul
+# threshold (22 = 2 * 11), radices above 64 (67, 122, 131) and one whose
+# matrix of roots is built a few rows at a time (1031)
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 12, 22, 37, 67, 100, 102, 122, 128, 131, 333, 1031])
 def test_unity_dft_matches_poly_eval(n):
-    # primes, prime powers and mixed factorisations of n; g longer than
-    # n (folded mod x^n - 1) with negative and multi-limb coefficients
+    # g longer than n (folded mod x^n - 1) with negative and multi-limb
+    # coefficients; two primes just below 2^31, where the limb sums of
+    # the matmul are largest, and a small one
     rng = random.Random(2011 + n)
     g = [rng.randrange(-(1 << 80), 1 << 80) for _ in range(n + 5)]
     g[0] = -(1 << 200) - 1
@@ -285,8 +299,74 @@ def test_unity_dft_matches_poly_eval(n):
     assert vals.shape == (len(primes), n)
     for row, p in zip(vals, primes):
         z = _order_n_root(n, p, factorize(n))
-        want = [poly_eval(g, pow(z, k, p)) % p for k in range(n)]
+        gp = [c % p for c in g]
+        want = [eval_mod(gp, pow(z, k, p), p) for k in range(n)]
         assert [int(v) for v in row] == want, (n, p)
+
+
+@pytest.mark.parametrize("n", [22, 67, 122, 131, 1031])
+@pytest.mark.parametrize("count", [1, 31, 32, 33])
+def test_unity_dft_matmul_matches_horner_across_chunks(n, count, monkeypatch):
+    # prime counts on both sides of the matmul's prime chunks (32 primes,
+    # fewer for a large radix), the largest primes below 2^31
+    rng = random.Random(2017 * n + count)
+    g = [rng.randrange(-(1 << 90), 1 << 90) for _ in range(n)]
+    primes = list(itertools.islice(_descending_primes_1_mod_n(n), count))
+    got = _unity_dft(n, g, primes)
+    monkeypatch.setattr(poly, "_MATMUL_RADIX", poly._MATMUL_RADIX_TOP)  # Horner only
+    assert np.array_equal(got, _unity_dft(n, g, primes))
+
+
+def test_dft_matmul_guard(monkeypatch):
+    # the largest radix below _MATMUL_RADIX_TOP with every root and limb
+    # at its largest: a sum of r products plus the reduced high half
+    # shifted back by 16 bits stays in int64
+    r = poly._MATMUL_RADIX_TOP - 1
+    root, limb = (1 << 31) - 2, (1 << 16) - 1
+    assert r * root * limb + (root << 16) < 1 << 63
+
+    # a radix at the guard takes Horner, one just below it the matmul
+    # (the only caller of np.take in the kernel); values never change
+    calls = []
+    take = np.take
+    monkeypatch.setattr(np, "take", lambda *a, **k: calls.append(1) or take(*a, **k))
+    monkeypatch.setattr(poly, "_MATMUL_RADIX_TOP", 67)
+    for n, radix_takes_matmul in ((122, True), (67, False), (134, False)):
+        calls.clear()
+        g = list(range(1, n + 3))
+        primes = list(itertools.islice(_descending_primes_1_mod_n(n), 2))
+        vals = _unity_dft(n, g, primes)
+        assert bool(calls) == radix_takes_matmul, n
+        for row, p in zip(vals, primes):
+            z = _order_n_root(n, p, factorize(n))
+            assert [int(v) for v in row] == [eval_mod(g, pow(z, k, p), p) for k in range(n)]
+
+
+# sha256 of hex(P_n) as the Horner-only kernel computed it
+P_N_DIGESTS = {
+    100: "ee5d924d514c79a94cfb0451ee5342cd3407badc53d4d54ef86fa73b0597e999",
+    102: "8864db317d173bc3fdb2dce52b8829281c607d6421282bf61c38343c20850cc5",
+    104: "ae3852c21c5b7bc631c71b524534e6fe62dc23157c15ece3486fc13b5d1bd041",
+    106: "9d0302b4b8c3377aa75f164dc486db690e34b97198f982da2cb1502e31b22fea",
+    108: "fbbbceb5954992605a0020a2b0b503a3e22ec145a89d8d253696c4b3f5cb7ebf",
+    110: "7dc7b729718140aea41aa78cbee2179e8535a6b4b588dafa0e5ef3d519de5014",
+    112: "06a35a07aa49d25b50106378825b841b5298a7df8e226e3b57e819fcef90a03d",
+    114: "202a09e21111da74b44fab9c131a021840fcdae4cea41717e3d407e281702299",
+    116: "e248f668fa0685b94afcf84aa14a2866cf454ec85f044f56630456e87bc01265",
+    118: "6970f5e298fc9f3c861d6ac191863ccdbf128b8363489430304da6e7c1aaba85",
+    120: "c7b05a9f49f5ce16f39cc302c7c890d9ea59fa69d9c2373d6d08cadec3da8367",
+    122: "0cd10fe61352d8d47d70377b34c81d47f1f314cc46765fd823698a435a106489",
+    124: "32c70356928a411438e922992b417e7e07a5595735438a545a2996f575b7c4b6",
+    126: "f2e26714c36c49916c8b8772406de64052ca022afeccbd50e9a961a0d86ee3cd",
+    128: "df0385b432cff18fd9b8ab15aafcbcf18230a4c7b7ff9688f890955c88d0b705",
+    333: "ef1568008bddd1140ffcfb46e034920c2e1009e62200a8fc82ed3f06503096ff",
+}
+
+
+@pytest.mark.parametrize("n", sorted(P_N_DIGESTS))
+def test_p_n_exact_digest_pinned(n):
+    # the exact-pn benchmark's n set
+    assert hashlib.sha256(hex(p_n_exact(n)).encode()).hexdigest() == P_N_DIGESTS[n]
 
 
 def test_unity_dft_coefficients_past_one_matmul_chunk():

@@ -6,6 +6,8 @@ from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logdisc.certify import Certificate
 from logdisc.sweep import (
@@ -282,3 +284,36 @@ def test_verify_file_rejects_status_mismatch(tmp_path):
     out.write_text(json.dumps(rec) + "\n")
     report = verify_file(out)
     assert len(report.malformed) == 1
+
+
+def record_lines(path):
+    """Every row of a sweep file as (n, status, certificate), sorted;
+    a duplicated row shows up twice."""
+    return sorted((rec["n"], rec["status"], json.dumps(rec["certificate"], sort_keys=True))
+                  for rec in map(json.loads, Path(path).read_text().splitlines()))
+
+
+@pytest.fixture(scope="module")
+def full_sweep_2_to_80(tmp_path_factory):
+    out = tmp_path_factory.mktemp("full") / "full.jsonl"
+    run_sweep(SweepConfig(2, 80, out=str(out)))
+    return out
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_resume_after_truncation_at_any_byte(full_sweep_2_to_80, tmp_path, data):
+    # a sweep cut at any byte, resumed at --jobs 1 or 2, ends with the
+    # record set of the uninterrupted one, and verifies clean
+    raw = full_sweep_2_to_80.read_bytes()
+    cut = data.draw(st.integers(0, len(raw)), label="cut")
+    want = record_lines(full_sweep_2_to_80)
+    for jobs in (1, 2):
+        path = tmp_path / f"cut{jobs}.jsonl"
+        path.write_bytes(raw[:cut])
+        summary = run_sweep(SweepConfig(2, 80, out=str(path), jobs=jobs, resume=True))
+        assert summary.certified == 79 and summary.clean, (cut, jobs)
+        assert record_lines(path) == want, (cut, jobs)
+        report = verify_file(path)
+        assert report.ok and report.total == 79, (cut, jobs)
