@@ -10,8 +10,9 @@ claim from scratch.  Routes, in the order tried:
   * n = p^e, e odd            odd valuation at p
   * n = m*q, prime q > m      split congruence forces odd valuation,
                               unless q lands in the exceptional set E_m
-  * otherwise                 quadratic non-residue witness search,
-                              then exact computation as a last resort
+  * otherwise                 quadratic non-residue witness search;
+                              unresolved if no witness turns up within
+                              max_witness_attempts primes
 
 The producer runs no Euclid: theorem routes check their closed-form
 residue of P_n, and witnesses are primes ell = 1 (mod n), where a DFT
@@ -50,6 +51,7 @@ _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # write them
 CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
 _WITNESS_BATCH = 4  # primes per DFT batch of the witness search
+_EXACT_MAX_N = 1000  # largest n whose exact claims verify_failure recomputes
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,6 @@ class Certificate:
 @dataclass(frozen=True)
 class ClassifyConfig:
     max_witness_attempts: int = 200
-    allow_exact_fallback: bool = True
-    exact_degree_cap: int = 1000
 
 
 def bertrand_prime(n: int) -> int:
@@ -107,12 +107,6 @@ def witness_search(n: int, max_attempts: int) -> tuple[int, int] | None:
     return None
 
 
-def _exact_route(n: int) -> Certificate:
-    if is_rational_square(disc_exact(n).exact):
-        return Certificate("counterexample")
-    return Certificate("exact_non_square")
-
-
 def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     """Certificate that disc F_n is not a square of a rational.
 
@@ -131,7 +125,9 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     if n % 4 == 0:
         if n == 4:
             # interval (2, 2) is empty; the discriminant is cheap exactly
-            return _exact_route(4)
+            if is_rational_square(disc_exact(4).exact):
+                return Certificate("counterexample")
+            return Certificate("exact_non_square")
         ell = bertrand_prime(n)
         if predicted_interval_residue(n, ell) == 0:
             raise ArithmeticError(f"P_{n} = 0 (mod {ell}) contradicts the interval congruence")
@@ -156,8 +152,6 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     found = witness_search(n, cfg.max_witness_attempts)
     if found is not None:
         return Certificate("non_residue_witness", ell=found[0], residue=found[1])
-    if cfg.allow_exact_fallback and n <= cfg.exact_degree_cap:
-        return _exact_route(n)
     return Certificate("unresolved", witness_attempts=cfg.max_witness_attempts)
 
 
@@ -246,13 +240,14 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         if res % ell == 0 or legendre_symbol(res, ell) != -1:
             return f"{res} is not a non-residue mod {ell}"
         return None
-    if kind == "exact_non_square":
-        if is_rational_square(disc_exact(n).exact):
-            return f"disc F_{n} is a rational square"
-        return None
-    if kind == "counterexample":
-        if not is_rational_square(disc_exact(n).exact):
-            return f"disc F_{n} is not a rational square"
+    if kind in ("exact_non_square", "counterexample"):
+        # classify goes exact only at n = 4, and the cost of disc_exact
+        # grows steeply with n: bound n before any of it
+        if n > _EXACT_MAX_N:
+            return f"exact route is checked only up to n = {_EXACT_MAX_N}"
+        square = is_rational_square(disc_exact(n).exact)
+        if square != (kind == "counterexample"):
+            return f"disc F_{n} is {'' if square else 'not '}a rational square"
         return None
     # unresolved: certifies nothing
     return "unresolved records certify nothing"

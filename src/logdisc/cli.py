@@ -49,13 +49,10 @@ def build_parser() -> _Parser:
         "logarithm polynomials, with non-squareness certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # classify and sweep share these; the defaults live in ClassifyConfig
-    defaults = ClassifyConfig()
+    # classify and sweep share this; the default lives in ClassifyConfig
     classify_opts = argparse.ArgumentParser(add_help=False)
     classify_opts.add_argument("--max-witness-attempts", type=_positive_int,
-                               default=defaults.max_witness_attempts)
-    classify_opts.add_argument("--exact-degree-cap", type=_positive_int,
-                               default=defaults.exact_degree_cap)
+                               default=ClassifyConfig().max_witness_attempts)
 
     p_disc = sub.add_parser("disc", help="discriminant data for one n")
     p_disc.add_argument("n", type=_positive_int)
@@ -73,7 +70,6 @@ def build_parser() -> _Parser:
     p_cls = sub.add_parser("classify", parents=[classify_opts],
                            help="non-squareness certificate for one n")
     p_cls.add_argument("n", type=_positive_int)
-    p_cls.add_argument("--no-exact-fallback", action="store_true")
 
     p_sweep = sub.add_parser("sweep", parents=[classify_opts],
                              help="classify a range of n into a JSONL file")
@@ -122,16 +118,8 @@ def _cmd_xy(args) -> int:
     return 0
 
 
-def _classify_config(args, allow_exact_fallback: bool = True) -> ClassifyConfig:
-    return ClassifyConfig(
-        max_witness_attempts=args.max_witness_attempts,
-        allow_exact_fallback=allow_exact_fallback,
-        exact_degree_cap=args.exact_degree_cap,
-    )
-
-
 def _cmd_classify(args) -> int:
-    cert = classify(args.n, _classify_config(args, not args.no_exact_fallback))
+    cert = classify(args.n, ClassifyConfig(args.max_witness_attempts))
     record = {
         "n": args.n,
         "status": status_of(cert),
@@ -148,7 +136,7 @@ def _cmd_sweep(args) -> int:
         out=args.out,
         filter=args.filter,
         jobs=args.jobs,
-        classify=_classify_config(args),
+        classify=ClassifyConfig(args.max_witness_attempts),
         resume=args.resume,
     )
     try:

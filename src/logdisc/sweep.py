@@ -256,13 +256,14 @@ def verify_file(path: str | Path) -> VerifyReport:
     """
     report = VerifyReport()
     seen: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             report.total += 1
             try:
-                rec, cert = _parse_record(line)
+                # decoded per line, so a bad byte costs only its own line
+                rec, cert = _parse_record(line.decode("utf-8"))
             except ValueError as exc:
                 report.malformed.append((lineno, str(exc)))
                 continue

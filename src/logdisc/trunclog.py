@@ -212,12 +212,12 @@ def x_of(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def exceptional_set(m: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> XYProfile:
+def exceptional_set(m: int) -> XYProfile:
     """X(m), Y(m) = H_m, and the exceptional prime set E_m.
 
     E_m collects primes ell > m dividing the numerator of X(m) or of
     Y(m), subject to m * ell = 1 (mod 4).  Factoring the numerators can
-    in principle exhaust the rho budget; the resulting error names the
+    in principle exhaust DEFAULT_RHO_BUDGET; the resulting error names the
     stuck cofactor rather than guessing.
     """
     x = x_of(m)
@@ -225,7 +225,7 @@ def exceptional_set(m: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> XYProfile:
     candidates: set[int] = set()
     for num in (abs(x.numerator), y.numerator):
         if num > 1:
-            candidates.update(factorize(num, rho_budget))
+            candidates.update(factorize(num, DEFAULT_RHO_BUDGET))
     exc = sorted(ell for ell in candidates if ell > m and m * ell % 4 == 1)
     return XYProfile(m=m, x=x, y=y, exceptional=tuple(exc))
 

@@ -116,18 +116,22 @@ def test_classify_deterministic():
         assert classify(n) == classify(n)
 
 
-def test_classify_unresolved_when_starved():
-    cfg = ClassifyConfig(max_witness_attempts=0, allow_exact_fallback=False)
+def test_classify_unresolved_when_starved(monkeypatch):
+    import logdisc.certify as certify_mod
+
+    cfg = ClassifyConfig(max_witness_attempts=0)
     cert = classify(25, cfg)
     assert cert == Certificate("unresolved", witness_attempts=0)
     assert verify_certificate(25, cert) is False
 
+    # a failed search ends unresolved at any n, small ones included:
+    # there is no exact computation after it
+    def no_exact(n):
+        raise AssertionError(f"disc_exact({n}) called")
 
-def test_classify_exact_fallback_cap():
-    cfg = ClassifyConfig(max_witness_attempts=0, allow_exact_fallback=True,
-                         exact_degree_cap=30)
-    assert classify(25, cfg).kind == "exact_non_square"
-    assert classify(49, ClassifyConfig(0, True, 30)).kind == "unresolved"
+    monkeypatch.setattr(certify_mod, "disc_exact", no_exact)
+    assert classify(9, ClassifyConfig(max_witness_attempts=2)) == Certificate(
+        "unresolved", witness_attempts=2)
 
 
 def test_round_trip_2_to_300():
@@ -239,6 +243,22 @@ def test_verify_route_hypotheses():
     assert verify_certificate(1, Certificate("trivial_n1"))
     assert verify_certificate(4, Certificate("exact_non_square"))
     assert not verify_certificate(4, Certificate("counterexample"))
+
+
+def test_verify_bounds_n_before_exact_arithmetic(monkeypatch):
+    import logdisc.certify as certify_mod
+
+    def no_exact(n):
+        raise AssertionError(f"disc_exact({n}) called")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(certify_mod, "disc_exact", no_exact)
+        for kind in ("exact_non_square", "counterexample"):
+            reason = verify_failure(1501, Certificate(kind))
+            assert reason is not None and "n = 1000" in reason
+    # n = 4, the one n classify certifies exactly, still verifies
+    assert verify_failure(4, Certificate("exact_non_square")) is None
+    assert verify_failure(4, Certificate("counterexample")) == "disc F_4 is not a rational square"
 
 
 def test_verify_diagnostics_are_specific():

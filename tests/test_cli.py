@@ -57,8 +57,7 @@ def test_classify_json(capsys):
 
 
 def test_classify_unresolved_exit_code(capsys):
-    code, out, _ = run(capsys, "classify", "25", "--max-witness-attempts", "1",
-                       "--no-exact-fallback")
+    code, out, _ = run(capsys, "classify", "25", "--max-witness-attempts", "1")
     rec = json.loads(out)
     if rec["status"] == "unresolved":
         assert code == 4
@@ -78,20 +77,25 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "sweep", "--help")[0] == 0
-    # classify and sweep share the classify options
+    # classify and sweep share the classify option; the exact fallback's
+    # flags are gone from both
     for command in ("classify", "sweep"):
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
-        assert "--max-witness-attempts" in out and "--exact-degree-cap" in out
-        assert ("--no-exact-fallback" in out) == (command == "classify")
+        assert "--max-witness-attempts" in out
+        assert "--exact-degree-cap" not in out and "--no-exact-fallback" not in out
+
+
+def test_removed_exact_fallback_flags_are_usage_errors(capsys):
+    assert run(capsys, "classify", "9", "--exact-degree-cap", "8")[0] == 1
+    assert run(capsys, "classify", "9", "--no-exact-fallback")[0] == 1
 
 
 def test_sweep_passes_classify_options(tmp_path, capsys):
-    # n = 9 needs the witness search; one attempt fails, and the cap
-    # keeps the exact fallback from running
+    # n = 9 needs the witness search, and one attempt finds no witness
     out_path = tmp_path / "s.jsonl"
     code, out, _ = run(capsys, "sweep", "--from", "9", "--to", "9", "--out", str(out_path),
-                       "--max-witness-attempts", "1", "--exact-degree-cap", "8")
+                       "--max-witness-attempts", "1")
     assert code == 4 and "unresolved 1" in out
     rec = json.loads(out_path.read_text())
     assert rec["certificate"] == {"type": "unresolved", "witness_attempts": "1"}
@@ -118,6 +122,27 @@ def test_sweep_and_verify_cycle(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--from", "2", "--to", "40",
                        "--out", str(out_path), "--resume")
     assert code == 0 and "skipped 39" in out
+
+
+def test_verify_reports_a_non_utf8_line_as_malformed(tmp_path, capsys):
+    out_path = tmp_path / "s.jsonl"
+    assert run(capsys, "sweep", "--from", "2", "--to", "10", "--out", str(out_path))[0] == 0
+    lines = out_path.read_bytes().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b'"tool_version": "', b'"tool_version": "\xff')
+    # a false claim after the bad line must still be caught: n = 9 is a witness
+    rec = json.loads(lines[7])
+    assert rec["n"] == 9 and rec["certificate"]["type"] == "non_residue_witness"
+    rec["certificate"]["residue"] = str(int(rec["certificate"]["residue"]) + 1)
+    lines[7] = (json.dumps(rec) + "\n").encode()
+    out_path.write_bytes(b"".join(lines))
+    code, out, err = run(capsys, "verify", str(out_path))
+    assert code == 3 and err == ""
+    assert "line 4: malformed: 'utf-8' codec" in out and "n=9: INVALID" in out
+    assert "checked 9 records: 1 malformed, 1 invalid" in out
+    # resume still refuses the file as corrupt
+    code, _, err = run(capsys, "sweep", "--from", "2", "--to", "10", "--out", str(out_path),
+                       "--resume")
+    assert code == 2 and "corrupt record" in err
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

@@ -269,11 +269,13 @@ def test_exceptional_set_pinned_tables():
     assert exceptional_set(4).exceptional == ()
 
 
-def test_exceptional_set_budget_failure_is_loud():
+def test_exceptional_set_budget_failure_is_loud(monkeypatch):
+    import logdisc.trunclog as trunclog_mod
     from logdisc.arith import FactorizationBudgetError
 
+    monkeypatch.setattr(trunclog_mod, "DEFAULT_RHO_BUDGET", 500)
     with pytest.raises(FactorizationBudgetError) as info:
-        exceptional_set(13, rho_budget=500)
+        exceptional_set(13)
     assert info.value.cofactor > 1
 
 
