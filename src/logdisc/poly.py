@@ -165,15 +165,16 @@ _SEGMENT_FIRST = 64
 _SEGMENT_MAX = 1 << 13
 
 
-def _inverse_mod_primes(a: int, S: np.ndarray) -> np.ndarray:
-    """a^-1 mod s for each prime s of S (below 2^31, not dividing a), by
-    Fermat: a^(s - 2), square and multiply over all of S at once."""
-    out = np.ones_like(S)
-    base = a % S
-    e = S - 2
+def _pow_mod(base: np.ndarray, e, P: np.ndarray) -> np.ndarray:
+    """base^e mod P elementwise, for residues base of moduli P below 2^31
+    and exponents e >= 0, all three broadcast together: square and
+    multiply over the bits of the largest exponent, every product
+    inside int64."""
+    out = np.ones(np.broadcast(base, e, P).shape, dtype=np.int64)
+    e = np.array(e, dtype=np.int64)  # a copy, shifted in place
     while e.any():
-        out = np.where(e & 1, out * base % S, out)
-        base = base * base % S
+        out = np.where(e & 1, out * base % P, out)
+        base = base * base % P
         e >>= 1
     return out
 
@@ -198,7 +199,7 @@ def _descending_primes_1_mod_n(n: int, top: int = _WORD_PRIME_TOP):
         return
     S = np.array(primes_upto(math.isqrt(c0)), dtype=np.int64)
     S = S[n % S != 0]
-    K = c0 % S * _inverse_mod_primes(n, S) % S  # s | c_k iff k = K (mod s)
+    K = c0 % S * _pow_mod(n % S, S - 2, S) % S  # n^-1 by Fermat; s | c_k iff k = K (mod s)
     lo, seg = 0, _SEGMENT_FIRST
     while lo < count:
         seg = min(seg, count - lo)
@@ -218,7 +219,11 @@ def _descending_primes_1_mod_n(n: int, top: int = _WORD_PRIME_TOP):
 
 
 def _order_n_root(n: int, p: int, n_factors: dict[int, int]) -> int:
-    """An element of exact multiplicative order n mod p, for p = 1 (mod n)."""
+    """An element of exact multiplicative order n mod p, for p = 1 (mod n):
+    z = a^((p - 1) / n) for the first base a = 2, 3, ... with
+    z^(n / q) != 1 for every prime q | n.  Prime by prime, two to a few
+    dozen pow calls each; _order_n_roots runs the same scan over a batch.
+    """
     e = (p - 1) // n
     for a in range(2, p):
         z = pow(a, e, p)
@@ -227,6 +232,57 @@ def _order_n_root(n: int, p: int, n_factors: dict[int, int]) -> int:
         if all(pow(z, n // q, p) != 1 for q in n_factors):
             return z
     raise ArithmeticError(f"no order-{n} element mod {p}")  # unreachable for prime p
+
+
+# _order_n_roots scans a batch of at least _ROOTS_VEC_MIN primes with
+# numpy, all primes at once, and a smaller one prime by prime.  For
+# primes near 2^31 (one x86 core), the loop is faster at 32 primes and
+# numpy at 48, both for n = 20..40 (x_of) and n = 100..128 and 333
+_ROOTS_VEC_MIN = 48
+# its first round tries the bases 2 .. _ROOTS_FIRST_TOP - 1; each later
+# round, on the primes still without a root, the bases up to twice the top
+_ROOTS_FIRST_TOP = 17
+
+
+def _order_n_roots(n: int, primes: list[int], n_factors: dict[int, int]) -> np.ndarray:
+    """_order_n_root(n, p, n_factors) for each p of primes, as an int64 array.
+
+    A batch of at least _ROOTS_VEC_MIN primes runs the scan in rounds over
+    blocks of bases.  In a round, z_a = a^((p - 1) / n) mod p comes from one
+    _pow_mod over all primes for each prime base a, and as z_d * z_(a/d)
+    for a composite a with least prime factor d.  A base passes for p when
+    z_a^(n / q) != 1 for every prime q | n (which implies z_a != 1), and
+    each prime takes its first passing base, as the scalar scan does.
+    Primes with none go on to the next round alone.  Bases a >= p act as
+    a mod p; for prime p the first passing base is below p.
+    """
+    if len(primes) < _ROOTS_VEC_MIN:
+        return np.array([_order_n_root(n, p, n_factors) for p in primes], dtype=np.int64)
+    P = np.array(primes, dtype=np.int64)
+    Z = np.empty_like(P)
+    qe = np.array([n // q for q in n_factors])[:, None]
+    todo = np.arange(len(P))  # primes without a root yet
+    # R[a, :, i] = z_a, then z_a^(n / q) for each q, mod P[todo[i]]; rows
+    # 0 and 1 only pad, so that R is indexed by the base
+    R = np.zeros((2, len(qe) + 1, len(P)), dtype=np.int64)
+    lo, hi = 2, _ROOTS_FIRST_TOP
+    while len(todo):
+        Pt = P[todo]
+        lpf = {a: next(d for d in range(2, a + 1) if a % d == 0) for a in range(lo, hi)}
+        bases = [a for a, d in lpf.items() if d == a]
+        z = _pow_mod(np.array(bases)[:, None] % Pt, (Pt - 1) // n, Pt)[:, None]
+        R = np.concatenate([R, np.empty((hi - lo,) + R.shape[1:], dtype=np.int64)])
+        R[bases] = np.concatenate([z, _pow_mod(z, qe, Pt)], axis=1)
+        for a, d in lpf.items():
+            if d != a:
+                R[a] = R[d] * R[a // d] % Pt
+        ok = (R[lo:, 1:] != 1).all(axis=1)
+        hit = ok.any(axis=0)
+        Z[todo[hit]] = R[lo + ok.argmax(axis=0)[hit], 0, hit]
+        todo = todo[~hit]
+        R = R[:, :, ~hit]
+        lo, hi = hi, 2 * hi
+    return Z
 
 
 _BATCH = 256
@@ -347,9 +403,10 @@ def _unity_dft(n: int, g: list[int], primes: list[int]) -> np.ndarray:
     """g(zeta^k) mod p for k = 0 .. n-1, one row per prime p = 1 (mod n),
     where zeta = _order_n_root(n, p); g may be longer than n.
 
-    The powers zeta^e mod p, e < n, come from _power_table by doubling,
-    the coefficients of g mod x^n - 1 mod p from _residue_table, and
-    the DFT from _dft.
+    The roots zeta come from _order_n_roots, vectorized over the batch
+    from _ROOTS_VEC_MIN primes up and prime by prime below; the powers
+    zeta^e mod p, e < n, from _power_table by doubling; the coefficients
+    of g mod x^n - 1 mod p from _residue_table; and the DFT from _dft.
     """
     n_factors = factorize(n)
     radices = [q for q, e in sorted(n_factors.items()) for _ in range(e)]
@@ -357,8 +414,7 @@ def _unity_dft(n: int, g: list[int], primes: list[int]) -> np.ndarray:
     for i, c in enumerate(g):
         a[i % n] += c
     P = np.array(primes, dtype=np.int64)
-    Z = np.array([_order_n_root(n, p, n_factors) for p in primes], dtype=np.int64)
-    pw = _power_table(Z, P, n)
+    pw = _power_table(_order_n_roots(n, primes, n_factors), P, n)
     C = _residue_table(a, P)
     return _dft(C[:, None, :], P[:, None, None, None], pw, 1, radices)[:, 0, :]
 

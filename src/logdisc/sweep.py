@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -84,6 +86,25 @@ def iter_targets(config: SweepConfig):
             k += 2
 
 
+# integers in a sweep file are read only as certificate_to_json writes
+# them (str of an int): ASCII, no sign but a minus, no leading zero, at
+# most the interpreter's default digit limit.  Every field of a valid
+# certificate, and n, has far fewer digits.  The check runs before int(),
+# whose cost grows with the length and whose own limit the CLI lifts.
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+_DECIMAL = re.compile(rf"0|-?[1-9][0-9]{{0,{_MAX_DIGITS - 1}}}")
+
+
+def _decimal(s: str, what: str = "an integer") -> int:
+    if not _DECIMAL.fullmatch(s):
+        raise ValueError(f"{what} is not a canonical decimal of at most {_MAX_DIGITS} digits: {s[:24]!r}")
+    return int(s)
+
+
+# a record's JSON integers, n among them, take the same check
+_RECORD_DECODER = json.JSONDecoder(parse_int=_decimal)
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     out = {"type": cert.kind}
     for name in CERT_INT_FIELDS:
@@ -107,7 +128,7 @@ def certificate_from_json(obj: dict) -> Certificate:
             raise ValueError(f"unknown certificate field {key!r}")
         if not isinstance(value, str):
             raise ValueError(f"field {key} must be a decimal string")
-        fields[key] = int(value)
+        fields[key] = _decimal(value, f"field {key}")
     return Certificate(kind, **fields)
 
 
@@ -146,7 +167,7 @@ def classify_record(n: int, config: ClassifyConfig) -> dict:
 
 
 def _parse_record(line: str) -> tuple[dict, Certificate]:
-    rec = json.loads(line)
+    rec = _RECORD_DECODER.decode(line)
     if not isinstance(rec, dict):
         raise ValueError("record is not an object")
     n = rec.get("n")

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import sys
 import time
 
 import pytest
@@ -143,6 +144,56 @@ def test_verify_reports_a_non_utf8_line_as_malformed(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--from", "2", "--to", "10", "--out", str(out_path),
                        "--resume")
     assert code == 2 and "corrupt record" in err
+
+
+@pytest.mark.parametrize("spelling", ["+73", " 73 ", "073", "7_3", "\u0667\u0663", "7\u0663"])
+def test_verify_and_resume_refuse_a_non_canonical_integer(tmp_path, capsys, spelling):
+    # each spelling is 73 to int(), but certificate_to_json never writes it
+    assert int(spelling) == 73
+    out_path = tmp_path / "s.jsonl"
+    assert run(capsys, "sweep", "--from", "2", "--to", "10", "--out", str(out_path))[0] == 0
+    lines = out_path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[7])
+    assert rec["n"] == 9 and rec["certificate"]["ell"] == "73"
+    rec["certificate"]["ell"] = spelling
+    lines[7] = json.dumps(rec) + "\n"
+    out_path.write_text("".join(lines))
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == 3 and "line 8: malformed: field ell is not a canonical decimal" in out
+    assert "checked 9 records: 1 malformed, 0 invalid" in out
+    code, _, err = run(capsys, "sweep", "--from", "2", "--to", "10", "--out", str(out_path),
+                       "--resume")
+    assert code == 2 and "corrupt record" in err
+
+
+def test_verify_refuses_an_oversized_integer_before_converting_it(tmp_path, capsys):
+    lines = [
+        # a million digits: seconds inside int() once the digit limit is lifted
+        {"n": 33, "status": "certified",
+         "certificate": {"type": "non_residue_witness", "ell": "7" * 10**6, "residue": "3"}},
+        '{"n": %s, "status": "certified", "certificate": {"type": "negative_sign"}}' % ("1" * 4301),
+        # 4,300 digits are read, and the claim is then checked and rejected
+        {"n": 33, "status": "certified",
+         "certificate": {"type": "non_residue_witness", "ell": "1" * 4300, "residue": "3"}},
+    ]
+    path = tmp_path / "big.jsonl"
+    path.write_text("".join((x if isinstance(x, str) else json.dumps(x)) + "\n" for x in lines))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as cli.main does
+    try:
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "verify", str(path))
+        elapsed = time.perf_counter() - t0
+        resumed, _, err = run(capsys, "sweep", "--from", "2", "--to", "3", "--out", str(path),
+                              "--resume")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3 and elapsed < 1
+    assert "line 1: malformed: field ell is not a canonical decimal of at most 4300 digits" in out
+    assert "line 2: malformed: an integer is not a canonical decimal" in out
+    assert "n=33: INVALID" in out and "below 2^64" in out
+    assert "checked 3 records: 2 malformed, 1 invalid" in out
+    assert resumed == 2 and "corrupt record on byte 0" in err
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

@@ -342,6 +342,42 @@ def test_dft_matmul_guard(monkeypatch):
             assert [int(v) for v in row] == [eval_mod(g, pow(z, k, p), p) for k in range(n)]
 
 
+def first_passing_base(n, p, n_factors):
+    e = (p - 1) // n
+    return next(a for a in range(2, p)
+                if all(pow(pow(a, e, p), n // q, p) != 1 for q in n_factors))
+
+
+# prime powers, smooth n whose first passing base is often above 16
+# (120, 210, 2310, 30030) and one where it never is (333); batch sizes on
+# both sides of the vectorized path's threshold
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 120, 210, 333, 2310, 30030])
+@pytest.mark.parametrize("size", [1, 4, poly._ROOTS_VEC_MIN - 1, poly._ROOTS_VEC_MIN, 256])
+@pytest.mark.parametrize("top", ["word", "small"])
+def test_order_n_roots_match_the_scalar_scan(n, size, top):
+    # the top primes below 2^31, and a progression up to 1000 n + 1,
+    # which holds fewer than 256 primes for n = 3, 5, 9 and 333
+    top = _WORD_PRIME_TOP if top == "word" else 1000 * n + 1
+    primes = list(itertools.islice(_descending_primes_1_mod_n(n, top), size))
+    nf = factorize(n)
+    roots = poly._order_n_roots(n, primes, nf)
+    assert roots.dtype == np.int64
+    assert roots.tolist() == [_order_n_root(n, p, nf) for p in primes]
+    for z, p in zip(roots.tolist(), primes):
+        assert pow(z, n, p) == 1 and all(pow(z, n // q, p) != 1 for q in nf)
+
+
+def test_order_n_roots_past_the_first_round_of_bases():
+    # the top 256 primes for n = 210 = 2 * 3 * 5 * 7: some need a base
+    # above 16 and some above 32, so the search takes three rounds
+    n, nf = 210, factorize(210)
+    primes = list(itertools.islice(_descending_primes_1_mod_n(n), 256))
+    bases = [first_passing_base(n, p, nf) for p in primes]
+    assert max(bases) > 2 * (poly._ROOTS_FIRST_TOP - 1)
+    roots = poly._order_n_roots(n, primes, nf).tolist()
+    assert roots == [pow(a, (p - 1) // n, p) for a, p in zip(bases, primes)]
+
+
 # sha256 of hex(P_n) as the Horner-only kernel computed it
 P_N_DIGESTS = {
     100: "ee5d924d514c79a94cfb0451ee5342cd3407badc53d4d54ef86fa73b0597e999",

@@ -69,6 +69,20 @@ def test_certificate_from_json_rejects_garbage():
         certificate_from_json({"type": "odd_valuation", "bogus": "7"})
 
 
+@pytest.mark.parametrize("value", ["+7", " 7", "7 ", "7\n", "1_0", "\u0667", "1\u0660", "\uff17", "0007",
+                                   "07", "-0", "--7", "0x7", "7.0", "", "-",
+                                   pytest.param("1" * 4301, id="4301-digits")])
+def test_certificate_from_json_accepts_only_canonical_decimals(value):
+    with pytest.raises(ValueError, match="field ell is not a canonical decimal"):
+        certificate_from_json({"type": "odd_valuation", "ell": value})
+
+
+def test_certificate_from_json_reads_what_it_writes_up_to_the_digit_cap():
+    for value in ["0", "7", "-7", "10", "9" * 4300, "-" + "9" * 4300]:
+        assert certificate_from_json({"type": "odd_valuation", "ell": value}).ell == int(value)
+        assert certificate_to_json(Certificate("odd_valuation", ell=int(value)))["ell"] == value
+
+
 def test_status_of():
     assert status_of(Certificate("negative_sign")) == "certified"
     assert status_of(Certificate("counterexample")) == "counterexample"
