@@ -82,6 +82,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="re-check every record in a sweep file")
     p_verify.add_argument("path")
+    p_verify.add_argument("--jobs", type=_positive_int, default=1)
     return parser
 
 
@@ -157,7 +158,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_file(args.path)
+    try:
+        # one argument at --jobs 1, where callers may wrap verify_file
+        report = verify_file(args.path) if args.jobs == 1 else verify_file(args.path, args.jobs)
+    except BrokenProcessPool as exc:
+        print(f"error: verify: a worker process died ({exc}) while checking {args.path}", file=sys.stderr)
+        return 2
     for lineno, err in report.malformed:
         print(f"line {lineno}: malformed: {err}")
     for n, reason in report.invalid:
@@ -168,6 +174,8 @@ def _cmd_verify(args) -> int:
         f"checked {report.total} records: {len(report.malformed)} malformed, "
         f"{len(report.invalid)} invalid, {len(report.flagged)} flagged"
     )
+    for kind, (count, seconds) in sorted(report.routes.items()):
+        print(f"route {kind}: {count} records, {seconds:.2f} s")
     if report.malformed or report.invalid:
         return 3
     if report.flagged:

@@ -76,29 +76,32 @@ def product_bound(g: list[int], d: int) -> int:
     return sum(abs(c) for c in g) ** d
 
 
-def _reduce_mod(p: list[int], m: int) -> list[int]:
-    return normalize([c % m for c in p])
-
-
 def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a mod b over F_p; both already reduced, b nonzero.
 
     Works in place: a is overwritten, and the remainder returned is a
-    view of it, so the caller must not use a afterwards.
+    view of it, so the caller must not use a afterwards.  A quotient step
+    lowers a coefficient by at most (p - 1)^2, so on int64 arrays, while
+    steps * (p - 1)^2 + p < 2^63, the steps skip their reductions and the
+    remainder is reduced once, at the end.
     """
     db = len(b) - 1
     if len(a) - 1 < db:
         return a
+    lazy = a.dtype != object and (len(a) - db) * (p - 1) ** 2 + p < 1 << 63
     inv = pow(int(b[-1]), -1, p)
     bl = b[:db]
     prod = np.empty_like(bl)
     for i in range(len(a) - 1, db - 1, -1):
-        c = int(a[i])
+        c = int(a[i]) * inv % p
         if c:
             seg = a[i - db : i]
-            np.multiply(bl, c * inv % p, out=prod)
+            np.multiply(bl, c, out=prod)
             seg -= prod
-            seg %= p
+            if not lazy:
+                seg %= p
+    if lazy:
+        a[:db] %= p
     k = db
     while k and not a[k - 1]:
         k -= 1
@@ -133,12 +136,13 @@ def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
     caller's lists.  Whether the first division f mod g runs on the
     nonzero columns of g alone (_sparse_polymod) is decided once per
     call, from g mod p only; every later division is dense (_polymod).
+    A dense int64 division reduces once, at its end, while steps * (p - 1)^2 + p < 2^63.
     """
-    a = _reduce_mod(f, p)
+    a = normalize([c % p for c in f])
     if len(a) < 2 or a[-1] != 1:
         raise ValueError("f must be monic of degree >= 1 modulo p")
     dtype = np.int64 if p < _NP_MAX_MOD else object
-    a, b = np.array(a, dtype=dtype), np.array(_reduce_mod(g, p), dtype=dtype)
+    a, b = np.array(a, dtype=dtype), np.array(normalize([c % p for c in g]), dtype=dtype)
     sparse = np.count_nonzero(b[:-1]) * _SPARSE_DIV <= len(b) - 1
     polymod = _sparse_polymod if sparse else _polymod
     res = 1

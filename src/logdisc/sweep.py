@@ -15,7 +15,7 @@ import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, starmap
 from pathlib import Path
 
 from . import __version__
@@ -66,6 +66,8 @@ class VerifyReport:
     malformed: list[tuple[int, str]] = field(default_factory=list)  # (line no, error)
     invalid: list[tuple[int, str]] = field(default_factory=list)  # (n, reason)
     flagged: list[tuple[int, str]] = field(default_factory=list)  # (n, status)
+    # certificate kind -> (records verify_failure checked, its seconds on them)
+    routes: dict[str, tuple[int, float]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -133,11 +135,7 @@ def certificate_from_json(obj: dict) -> Certificate:
 
 
 def status_of(cert: Certificate) -> str:
-    if cert.kind == "counterexample":
-        return "counterexample"
-    if cert.kind == "unresolved":
-        return "unresolved"
-    return "certified"
+    return cert.kind if cert.kind in ("counterexample", "unresolved") else "certified"
 
 
 def classify_record(n: int, config: ClassifyConfig) -> dict:
@@ -199,9 +197,7 @@ def scan_sweep_file(path: Path) -> tuple[dict[int, str], int]:
             try:
                 rec, _ = _parse_record(line.decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
-                raise SweepFileError(
-                    f"{path}: corrupt record on byte {pos}: {exc}"
-                ) from exc
+                raise SweepFileError(f"{path}: corrupt record on byte {pos}: {exc}") from exc
             done[rec["n"]] = rec["status"]
         pos = nl + 1
         keep = pos
@@ -242,21 +238,29 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
             if log is not None and rec["status"] != "certified":
                 print(f"n={rec['n']}: {rec['status']}", file=log)
 
-        if config.jobs == 1 or len(targets) <= 1:
-            for n in targets:
-                emit(classify_record(n, config.classify))
-        else:
-            todo = iter(targets)
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                # at most 2 * jobs records in flight; each one emitted admits the next n
-                pending = {pool.submit(classify_record, n, config.classify) for n in islice(todo, 2 * config.jobs)}
-                while pending:
-                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        emit(fut.result())
-                        pending.update(pool.submit(classify_record, n, config.classify) for n in islice(todo, 1))
+        jobs = config.jobs if len(targets) > 1 else 1
+        for rec in _pool_map(classify_record, ((n, config.classify) for n in targets), jobs):
+            emit(rec)
     summary.wall_s = time.perf_counter() - t0
     return summary
+
+
+def _pool_map(fn, arg_tuples, jobs: int):
+    """fn(*args) for each args of arg_tuples: in order here at jobs = 1,
+    else in jobs worker processes as they finish, with at most 2 * jobs
+    calls in flight, each one yielded admitting the next.  A dead worker
+    raises BrokenProcessPool."""
+    if jobs == 1:
+        yield from starmap(fn, arg_tuples)
+        return
+    todo = iter(arg_tuples)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = {pool.submit(fn, *args) for args in islice(todo, 2 * jobs)}
+        while pending:
+            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in finished:
+                yield fut.result()
+                pending.update(pool.submit(fn, *args) for args in islice(todo, 1))
 
 
 def _tally(summary: SweepSummary, status: str) -> None:
@@ -268,16 +272,27 @@ def _tally(summary: SweepSummary, status: str) -> None:
         summary.unresolved += 1
 
 
-def verify_file(path: str | Path) -> VerifyReport:
+def _check_record(lineno: int, n: int, cert: Certificate) -> tuple[int, int, str, str | None, float]:
+    """verify_failure(n, cert) and its seconds; the worker task of verify_file."""
+    t0 = time.perf_counter()
+    reason = verify_failure(n, cert)
+    return lineno, n, cert.kind, reason, time.perf_counter() - t0
+
+
+def verify_file(path: str | Path, jobs: int = 1) -> VerifyReport:
     """Re-check every record in a sweep file from scratch.
 
     Malformed lines and certificates that fail verification are
     collected separately from honest non-certifying records
     (unresolved, counterexample), which are flagged but well formed.
+    At jobs > 1, verify_failure runs in that many worker processes, and
+    the report is the same but for the seconds in routes.
     """
     report = VerifyReport()
+    invalid, flagged = [], []  # (line no, n, reason) and (line no, n, status)
     seen: set[int] = set()
-    with open(path, "rb") as fh:
+
+    def to_check(fh):  # the records verify_failure must check, as (line no, n, cert)
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -294,11 +309,19 @@ def verify_file(path: str | Path) -> VerifyReport:
                 continue
             seen.add(n)
             if cert.kind == "unresolved":
-                report.flagged.append((n, "unresolved"))
-                continue
-            reason = verify_failure(n, cert)
+                flagged.append((lineno, n, "unresolved"))
+            else:
+                yield lineno, n, cert
+
+    with open(path, "rb") as fh:
+        for lineno, n, kind, reason, seconds in _pool_map(_check_record, to_check(fh), jobs):
+            count, total_s = report.routes.get(kind, (0, 0.0))
+            report.routes[kind] = (count + 1, total_s + seconds)
             if reason is not None:
-                report.invalid.append((n, reason))
-            elif cert.kind == "counterexample":
-                report.flagged.append((n, "counterexample"))
+                invalid.append((lineno, n, reason))
+            elif kind == "counterexample":
+                flagged.append((lineno, n, kind))
+    # a pool finishes records out of file order; the report keeps file order
+    report.invalid = [(n, reason) for _, n, reason in sorted(invalid)]
+    report.flagged = [(n, status) for _, n, status in sorted(flagged)]
     return report

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, max_prime_power_upto, primes_upto
@@ -99,21 +100,22 @@ def _reduced_coeffs_mod(n: int, ell: int) -> list[int]:
     """A_n mod ell without constructing any big integers.
 
     Writes L = ell^E * U with U coprime to ell; then L/j mod ell is 0
-    unless ell^E | j, in which case it is U / (j / ell^E) mod ell.
+    unless ell^E | j, in which case it is U / (j / ell^E) mod ell.  The
+    quotients j / ell^E <= m = n // ell^E < ell are inverted together by
+    Montgomery's trick: prefix products, one inverse, a backward pass.
     """
     E = floor_log(ell, n) if ell <= n else 0
     U = _lcm_mod(n, ell, skip=ell)
     shift = ell**E
-
-    def term(j: int) -> int:
-        if j % shift:
-            return 0
-        return U * pow(j // shift, -1, ell) % ell
-
-    t_last = term(n - 1)
-    a = [(term(1) + term(n) - t_last) % ell]
-    a.extend((term(k) - t_last) % ell for k in range(1, n - 1))
-    return a
+    m = n // shift
+    prefix = list(accumulate(range(1, m + 1), lambda x, j: x * j % ell, initial=1))
+    acc = U * pow(prefix[m], -1, ell) % ell  # U / m!
+    term = [0] * (n + 1)  # term[j] = L / j mod ell
+    for j in range(m, 0, -1):
+        term[j * shift] = acc * prefix[j - 1] % ell  # U / j
+        acc = acc * j % ell
+    t_last = term[n - 1]
+    return [(term[1] + term[n] - t_last) % ell] + [(t - t_last) % ell for t in term[1 : n - 1]]
 
 
 def p_n_mod(n: int, ell: int) -> int:

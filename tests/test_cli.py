@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import sys
 import time
 
@@ -212,6 +213,67 @@ def test_sweep_dead_worker_exits_two(tmp_path, capsys, monkeypatch):
                        "--out", str(out_path), "--jobs", "2")
     assert code == 2
     assert "sweep" in err and "--resume" in err
+    assert "Traceback" not in err
+
+
+def without_seconds(out):
+    # route lines end in the seconds verify_failure took, which vary
+    return re.sub(r"(route \w+: \d+ records), \d+\.\d\d s", r"\1", out)
+
+
+def test_verify_jobs_reports_as_one_job(tmp_path, capsys):
+    from logdisc.certify import classify
+    from logdisc.sweep import certificate_to_json
+
+    out_path = tmp_path / "s.jsonl"
+    assert run(capsys, "sweep", "--from", "2", "--to", "30", "--out", str(out_path))[0] == 0
+    lines = out_path.read_bytes().splitlines(keepends=True)
+    recs = [json.loads(line) for line in lines]
+    assert [recs[i]["certificate"]["type"] for i in (2, 10)] == ["exact_non_square", "odd_valuation"]
+    # a false witness claim at n = 4005 comes first: its check takes far
+    # longer than any other here, so a pool finishes later records first
+    cert = certificate_to_json(classify(4005))
+    cert["residue"] = str(int(cert["residue"]) + 1)
+    slow = {"n": 4005, "status": "certified", "certificate": cert}
+    recs[2]["status"] = "counterexample"  # n = 4: a false claim
+    recs[2]["certificate"] = {"type": "counterexample"}
+    recs[10]["certificate"]["ell"] = "9"  # n = 12: invalid
+    lines = [(json.dumps(r) + "\n").encode() for r in [slow] + recs]
+    lines[4] = lines[4].replace(b'"tool_version": "', b'"tool_version": "\xff')  # n = 5
+    lines[12:12] = [b"{not json\n", lines[8]]  # a malformed line and a duplicate n = 9
+    lines.append(json.dumps({"n": 77, "status": "unresolved",
+                             "certificate": {"type": "unresolved", "witness_attempts": "3"}})
+                 .encode() + b"\n")
+    out_path.write_bytes(b"".join(lines))
+
+    code, out, err = run(capsys, "verify", str(out_path))
+    assert code == 3 and err == ""
+    assert out.index("n=4005: INVALID") < out.index("n=4: INVALID") < out.index("n=12: INVALID")
+    assert "line 5: malformed: 'utf-8' codec" in out and "line 13: malformed" in out
+    assert "line 14: malformed: duplicate record for n=9" in out and "n=77: unresolved" in out
+    assert "checked 33 records: 3 malformed, 3 invalid, 1 flagged" in out
+    assert "route non_residue_witness: 3 records, " in out and "route counterexample: 1 records" in out
+    code2, out2, err2 = run(capsys, "verify", str(out_path), "--jobs", "2")
+    assert (code2, without_seconds(out2), err2) == (3, without_seconds(out), "")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched worker reaches the pool only by fork")
+def test_verify_dead_worker_exits_two(tmp_path, capsys, monkeypatch):
+    import logdisc.sweep as sweep_mod
+
+    out_path = tmp_path / "s.jsonl"
+    assert run(capsys, "sweep", "--from", "2", "--to", "9", "--out", str(out_path))[0] == 0
+
+    def die(n, cert):
+        os._exit(1)
+
+    # the pool pickles _check_record by name; the forked worker looks up
+    # verify_failure in the patched module
+    monkeypatch.setattr(sweep_mod, "verify_failure", die)
+    code, out, err = run(capsys, "verify", str(out_path), "--jobs", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: verify: ") and str(out_path) in err
     assert "Traceback" not in err
 
 

@@ -191,6 +191,99 @@ def test_resultant_mod_p_sparse_first_division(data):
     assert f == f0 and g == g0
 
 
+def eager_polymod(a, b, p):
+    """The reference division: every quotient step reduces its slice."""
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return a
+    inv = pow(int(b[-1]), -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = int(a[i]) * inv % p
+        if c:
+            a[i - db : i] = (a[i - db : i] - b[:db] * c) % p
+    k = db
+    while k and not a[k - 1]:
+        k -= 1
+    return a[:k]
+
+
+def lazy_limit(steps):
+    """The largest prime p with steps * (p - 1)^2 + p < 2^63, and the next
+    prime, the first at which a division of that many steps must reduce."""
+    p = math.isqrt(((1 << 63) - 1) // steps) + 1
+    while steps * (p - 1) ** 2 + p >= 1 << 63 or not is_prime(p):
+        p -= 1
+    q = p + 1
+    while not is_prime(q):
+        q += 1
+    return p, q
+
+
+def worst_division(steps, dg):
+    """f, g over Z with f mod g taking `steps` quotient steps, for
+    steps <= dg: g = -(1 + x + ... + x^dg) and f = (1 + ... + x^(steps-1))
+    * (1 + ... + x^dg) + r.  Mod any p, every quotient coefficient and
+    every column of g is p - 1, so the coefficient of x^(dg-1) falls by
+    (p - 1)^2 at each step."""
+    f = poly_mul([1] * steps, [1] * (dg + 1))
+    for j in range(dg):
+        f[j] += j % 3
+    return f, [-1] * (dg + 1)
+
+
+@pytest.mark.parametrize("steps", [3, 7, 40])
+def test_polymod_skips_reductions_exactly_up_to_its_bound(steps):
+    at, above = lazy_limit(steps)
+    # past the bound this input would leave int64
+    assert steps * (above - 1) ** 2 > (1 << 63) + above
+    f, g = worst_division(steps, steps)
+    for p in (at, above):
+        a = np.array([c % p for c in f], dtype=np.int64)
+        b = np.array([c % p for c in g], dtype=np.int64)
+        got = poly._polymod(a, b, p)
+        # a division that skipped its reductions leaves the quotient
+        # positions of a unreduced, and below zero
+        assert bool((a[steps:] < 0).any()) == (p == at), p
+        want = eager_polymod(np.array([c % p for c in f], dtype=object), b.astype(object), p)
+        assert got.tolist() == want.tolist()
+
+
+# the primes around the lazy bound for the first division of each step
+# count drawn below; later divisions of two steps are lazy at every
+# int64 modulus
+LAZY_LIMITS = {s: lazy_limit(s) for s in range(3, 25)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_resultant_mod_p_lazy_reduction_property(data):
+    # the first division f mod g takes `steps` quotient steps; p lies
+    # below, at or just above the largest prime at which it may skip its
+    # reductions, or among fixed primes (p = 2, 2^31 - 1, and object
+    # arrays from 2^31 up).  Res mod p equals the PRS oracle and euclid
+    # with every step reduced
+    dg = data.draw(st.integers(3, 24))
+    steps = data.draw(st.integers(3, dg))
+    at, above = LAZY_LIMITS[steps]
+    p = data.draw(st.sampled_from([2, at // 2, at, above, (1 << 31) - 1,
+                                   (1 << 31) + 11, (1 << 61) - 1]))
+    if not is_prime(p):
+        p = next(q for q in range(p, 0, -1) if is_prime(q))
+    if data.draw(st.booleans()):
+        f, g = worst_division(steps, dg)
+    else:
+        f = data.draw(st.lists(st.integers(-50, 50), min_size=dg + steps - 1,
+                               max_size=dg + steps - 1)) + [1]
+        g = data.draw(st.lists(st.integers(0, p - 1), min_size=dg, max_size=dg))
+        g.append(data.draw(st.integers(1, p - 1)))
+    if data.draw(st.booleans()):
+        g.append(p * data.draw(st.integers(1, 3)))  # a leading coefficient = 0 (mod p)
+    got = resultant_mod_p(f, g, p)
+    with mock.patch.object(poly, "_polymod", eager_polymod):
+        eager = resultant_mod_p(f, g, p)
+    assert got == eager == resultant_prs(f, g) % p
+
+
 def test_resultant_exact_matches_prs_random():
     rng = random.Random(2007)
     for _ in range(100):

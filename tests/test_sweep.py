@@ -192,6 +192,11 @@ def test_run_sweep_bounds_work_in_flight(tmp_path, monkeypatch):
     assert CountingPool.peak == 6 and not CountingPool.outstanding
     assert summary.certified == 59 and summary.clean
     assert load_records(pooled) == load_records(serial)
+    # verify --jobs 3 shares the bound
+    CountingPool.peak = 0
+    report = verify_file(serial, jobs=3)
+    assert CountingPool.peak == 6 and not CountingPool.outstanding
+    assert report.ok and report.total == 59
 
 
 def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
@@ -289,6 +294,12 @@ def test_verify_file_flags_and_invalids(tmp_path):
     assert [n for n, _ in report.invalid] == [tampered]
     assert (9999, "unresolved") in report.flagged
     assert any("duplicate" in msg for _, msg in report.malformed)
+    # every record but the unresolved one and the duplicate reached
+    # verify_failure, and is counted under its kind
+    assert sum(count for count, _ in report.routes.values()) == len(records) - 2
+    assert report.routes["non_residue_witness"][0] == sum(
+        r["certificate"]["type"] == "non_residue_witness" for r in records[:-1])
+    assert all(seconds >= 0 for _, seconds in report.routes.values())
 
 
 def test_verify_file_rejects_status_mismatch(tmp_path):

@@ -15,6 +15,7 @@ from logdisc.arith import (
 )
 from logdisc.poly import normalize, psi_poly, resultant_prs
 from logdisc.trunclog import (
+    _reduced_coeffs_mod,
     disc_exact,
     disc_from_definition,
     disc_mod,
@@ -137,6 +138,15 @@ def test_p_n_mod_matches_exact():
         pn = p_n_exact(n)
         for ell in moduli:
             assert p_n_mod(n, ell) == pn % ell, (n, ell)
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [64, 243, 1000, 1024])
+def test_reduced_coeffs_mod_matches_exact(n):
+    # every prime ell <= n + 5, so ell > n, ell^E > 1 and ell | n all
+    # occur, ell = 2 among them, and two primes near 2^61
+    exact = reduced_coeffs(n)
+    for ell in primes_upto(n + 5) + [(1 << 61) - 1, 2305843009212694027]:
+        assert _reduced_coeffs_mod(n, ell) == [c % ell for c in exact], (n, ell)
 
 
 def test_p_n_mod_rejects_composite_modulus():
