@@ -16,9 +16,10 @@ claim from scratch.  Routes, in the order tried:
 
 The producer runs no Euclid: theorem routes check their closed-form
 residue of P_n, and witnesses are primes ell = 1 (mod n), where a DFT
-over the n-th roots of unity gives P_n mod ell.  verify_failure redoes
-every residue by Euclid and takes a witness at any prime ell > n, so
-files of the former nearest-prime policy still verify.
+over the n-th roots of unity gives disc F_n mod ell straight from the
+coefficients of F_n.  verify_failure redoes every residue by Euclid on
+A_n mod ell and takes a witness at any prime ell > n, so files of the
+former nearest-prime policy still verify.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .arith import factorize, floor_log, int_valuation, is_prime, is_rational_square, legendre_symbol
+from .arith import factorize, is_prime, is_rational_square, legendre_symbol
 from .arith import next_prime  # noqa: F401  (unused; perfbench traces certify.next_prime)
 from .poly import _NP_MAX_MOD
-from .trunclog import disc_exact, disc_mod, disc_mod_dft, in_exceptional_set, p_n_mod
+from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, in_exceptional_set, p_n_mod
 from .trunclog import predicted_interval_residue, predicted_prime_power_residue, predicted_split_residue
 
 # fields that must be present (not None) for each kind; all others None
@@ -190,8 +191,7 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
             return f"{ell} is outside the interval ({n // 2}, {n - 2}) for n = 0 (mod 4)"
         if not is_prime(ell):
             return f"{ell} is not prime"
-        v = int_valuation(n, ell) - (n - 1) * floor_log(ell, n)
-        if v % 2 == 0:
+        if frame_valuation(n, ell) % 2 == 0:
             return f"frame valuation at {ell} is even"
         if p_n_mod(n, ell) == 0:
             return f"P_{n} vanishes mod {ell}"
@@ -206,7 +206,7 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
             return f"{p} is not prime"
         if n % 4 != 1:
             return "prime power route needs n = 1 (mod 4)"
-        if (int_valuation(n, p) - (n - 1) * floor_log(p, n)) % 2 == 0:
+        if frame_valuation(n, p) % 2 == 0:
             return f"frame valuation at {p} is even"
         if p_n_mod(n, p) == 0:
             return f"P_{n} vanishes mod {p}"

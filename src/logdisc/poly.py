@@ -6,16 +6,15 @@ with a nonzero last entry (the zero polynomial is the empty list).
 Three independent resultant routes live here:
 
   * resultant_mod_p   -- euclidean remainder sequence over F_p,
-  * resultant_exact   -- CRT over one descending sequence of sieved
-                         word-size primes, each residue by the
-                         euclidean route, except that when the monic
-                         argument is 1 + x + ... + x^(n-1) the
-                         sequence starts with the primes p = 1 (mod n):
-                         there its roots are the n-th roots of unity,
-                         and g is evaluated at all of them by a
-                         mixed-radix DFT.  The next prime of the
-                         sequence, by the euclidean route, checks the
-                         reconstructed value,
+  * resultant_exact   -- Res(1 + x + ... + x^(n-1), g) by CRT over the
+                         sieved word-size primes p = 1 (mod n): there
+                         the roots are the n-th roots of unity, and g
+                         is evaluated at all of them by a mixed-radix
+                         DFT.  Should that progression run out, the
+                         word primes p != 1 (mod n) follow by the
+                         euclidean route, and the next prime of the
+                         sequence, also by the euclidean route, checks
+                         the reconstructed value,
   * resultant_prs     -- subresultant pseudo-remainder sequence over Z.
 
 The last is deliberately kept algorithmically disjoint from the first
@@ -63,17 +62,6 @@ def psi_poly(n: int) -> IntPoly:
     if n < 2:
         raise ValueError(f"psi_poly requires n >= 2, got {n}")
     return [1] * n
-
-
-def product_bound(g: list[int], d: int) -> int:
-    """Bound |prod g(theta_i)| over d points on the unit circle.
-
-    Valid whenever the monic polynomial whose roots are evaluated has
-    all roots of modulus 1, as |g(theta)| <= sum |g_k| there.
-    """
-    if d < 0:
-        raise ValueError("point count must be >= 0")
-    return sum(abs(c) for c in g) ** d
 
 
 def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -403,91 +391,83 @@ def _dft(a: np.ndarray, P: np.ndarray, pw: np.ndarray, t: int, radices: list[int
     return X.reshape(B, s, N)
 
 
-def _unity_dft(n: int, g: list[int], primes: list[int]) -> np.ndarray:
-    """g(zeta^k) mod p for k = 0 .. n-1, one row per prime p = 1 (mod n),
-    where zeta = _order_n_root(n, p); g may be longer than n.
+def _unity_dft(n: int, C: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """c(zeta^k) mod P[b] for k = 0 .. n-1, one row per prime P[b] = 1
+    (mod n), where zeta = _order_n_root(n, P[b]) and C is the int64
+    (B, n) array of c mod (x^n - 1, P[b]).
 
     The roots zeta come from _order_n_roots, vectorized over the batch
     from _ROOTS_VEC_MIN primes up and prime by prime below; the powers
-    zeta^e mod p, e < n, from _power_table by doubling; the coefficients
-    of g mod x^n - 1 mod p from _residue_table; and the DFT from _dft.
+    zeta^e mod p, e < n, from _power_table by doubling; and the DFT
+    from _dft.
     """
     n_factors = factorize(n)
     radices = [q for q, e in sorted(n_factors.items()) for _ in range(e)]
-    a = [0] * n  # g mod x^n - 1, zero-padded to length n
-    for i, c in enumerate(g):
-        a[i % n] += c
-    P = np.array(primes, dtype=np.int64)
-    pw = _power_table(_order_n_roots(n, primes, n_factors), P, n)
-    C = _residue_table(a, P)
+    pw = _power_table(_order_n_roots(n, P.tolist(), n_factors), P, n)
     return _dft(C[:, None, :], P[:, None, None, None], pw, 1, radices)[:, 0, :]
 
 
-def _all_ones_residues(n: int, g: list[int], primes: list[int]) -> list[int]:
-    """Res(1 + x + ... + x^(n-1), g) mod p for each p = 1 (mod n).
+def _all_ones_residues(n: int, C: np.ndarray, P: np.ndarray) -> list[int]:
+    """Res(1 + x + ... + x^(n-1), c) mod P[b] for each prime P[b] = 1
+    (mod n), with C the rows of c as _unity_dft takes them.
 
     The roots are the nontrivial n-th roots of unity, all of which exist
-    in F_p, so the resultant is the product of g(zeta^k), k = 1 .. n-1:
-    all but the first value of a length-n DFT of g mod x^n - 1.  The DFT
+    in F_p, so the resultant is the product of c(zeta^k), k = 1 .. n-1:
+    all but the first value of a length-n DFT of c mod x^n - 1.  The DFT
     is mixed-radix over the prime factors of n, about n * (sum of those
     factors) products per prime instead of n^2, and runs as int64
-    arrays over batches of primes: Horner steps for the small factors,
-    one int64 matmul for each factor from _MATMUL_RADIX up (see _dft).
+    arrays over the batch: Horner steps for the small factors, one
+    int64 matmul for each factor from _MATMUL_RADIX up (see _dft).
     """
-    out: list[int] = []
-    for i in range(0, len(primes), _BATCH):
-        batch = primes[i : i + _BATCH]
-        Pc = np.array(batch, dtype=np.int64)[:, None]
-        acc = _unity_dft(n, g, batch)[:, 1:]
-        # fold the row products pairwise to stay inside int64
-        while acc.shape[1] > 1:
-            half = acc.shape[1] // 2
-            head = acc[:, :half] * acc[:, half : 2 * half] % Pc
-            if acc.shape[1] & 1:
-                head = np.concatenate([head, acc[:, -1:]], axis=1)
-            acc = head
-        out.extend(int(v) for v in acc[:, 0])
-    return out
+    Pc = P[:, None]
+    acc = _unity_dft(n, C, P)[:, 1:]
+    # fold the row products pairwise to stay inside int64
+    while acc.shape[1] > 1:
+        half = acc.shape[1] // 2
+        head = acc[:, :half] * acc[:, half : 2 * half] % Pc
+        if acc.shape[1] & 1:
+            head = np.concatenate([head, acc[:, -1:]], axis=1)
+        acc = head
+    return acc[:, 0].tolist()
 
 
-def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
-    """Exact Res(f, g) for monic f, via CRT over word-size primes.
+def resultant_exact(n: int, g: list[int]) -> int:
+    """Exact Res(1 + x + ... + x^(n-1), g), via CRT over word-size primes.
 
-    The caller must supply bound >= |Res(f, g)|.  Moduli are taken from
-    one descending prime sequence until their product exceeds 2 * bound,
-    after which the symmetric residue is the exact integer.  For
-    f = 1 + x + ... + x^(n-1) the sequence is the primes p = 1 (mod n),
-    whose residues come from _all_ones_residues, then, should that
-    progression run out, the word primes p != 1 (mod n); for any other
-    f it is the word primes.  Every other residue comes from
-    resultant_mod_p.  The next prime of the sequence then checks the
-    value against resultant_mod_p, so a bound below the true magnitude
-    raises ArithmeticError, unless the wrong value happens to agree
-    modulo that prime too.  See product_bound for a rigorous bound.
+    The roots are n-th roots of unity, where |g| <= sum |g_k|, so
+    (sum |g_k|)^(n-1) bounds |Res|.  Moduli are taken from one
+    descending prime sequence until their product exceeds twice that,
+    after which the symmetric residue is the exact integer.  The
+    sequence is the primes p = 1 (mod n), whose residues come from
+    _all_ones_residues on g mod x^n - 1, _BATCH primes at a time, then,
+    should that progression run out, the word primes p != 1 (mod n),
+    by resultant_mod_p.  The next prime of the sequence then checks the
+    value against resultant_mod_p and raises ArithmeticError on a
+    mismatch.
     """
-    f = normalize(f)
+    if n < 2:
+        raise ValueError(f"resultant_exact requires n >= 2, got {n}")
     g = normalize(g)
-    if len(f) < 2 or f[-1] != 1:
-        raise ValueError("f must be monic of degree >= 1")
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
     if not g:
         return 0
-    target = 2 * bound
-    n = len(f)
+    target = 2 * sum(abs(c) for c in g) ** (n - 1)
+    a = [0] * n  # g mod x^n - 1
+    for i, c in enumerate(g):
+        a[i % n] += c
 
-    all_ones = all(c == 1 for c in f)
-    primes = _descending_primes_1_mod_n(2)
-    if all_ones:
-        primes = chain(_descending_primes_1_mod_n(n), (p for p in primes if p % n != 1))
+    primes = chain(_descending_primes_1_mod_n(n), (p for p in _descending_primes_1_mod_n(2) if p % n != 1))
     moduli: list[int] = []
     M = 1
     while M <= target:
         p = next(primes)
         moduli.append(p)
         M *= p
-    k = sum(p % n == 1 for p in moduli) if all_ones else 0
-    residues = _all_ones_residues(n, g, moduli[:k])
+    k = sum(p % n == 1 for p in moduli)
+    residues: list[int] = []
+    for i in range(0, k, _BATCH):
+        P = np.array(moduli[i : min(i + _BATCH, k)], dtype=np.int64)
+        residues += _all_ones_residues(n, _residue_table(a, P), P)
+    f = psi_poly(n)
     residues += [resultant_mod_p(f, g, p) for p in moduli[k:]]
 
     # symmetric representative; an actual zero resultant lands on 0 here
@@ -495,10 +475,7 @@ def resultant_exact(f: list[int], g: list[int], bound: int) -> int:
     # Euclid at the next prime of the sequence is independent of the DFT
     check = next(primes)
     if resultant_mod_p(f, g, check) != R % check:
-        raise ArithmeticError(
-            f"resultant_exact: the CRT value disagrees with Res(f, g) mod {check}; "
-            f"the bound (a {bound.bit_length()}-bit integer) is below |Res(f, g)|"
-        )
+        raise ArithmeticError(f"resultant_exact: the CRT value disagrees with Res mod {check}")
     return R
 
 

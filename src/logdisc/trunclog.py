@@ -16,8 +16,10 @@ the derivative:
     a_0 = L + L/n - L/(n-1),
     a_k = L/k - L/(n-1)        (1 <= k <= n-2).
 
-Everything downstream (congruence certificates, witness searches) is
-built on exact or modular evaluations of these objects.
+The congruence certificates are built on exact or modular evaluations
+of these objects.  The witness search is not: its disc F_n mod ell comes
+from F_n itself, as sign * n * Res(F_n', F_n), with no L or A_n (see
+disc_mod_dft).
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
+import numpy as np
+
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, max_prime_power_upto, primes_upto
-from .poly import _NP_MAX_MOD, _all_ones_residues, product_bound, psi_poly
+from .poly import _NP_MAX_MOD, _all_ones_residues, _pow_mod, psi_poly
 from .poly import resultant_exact, resultant_mod_p, resultant_prs
 
 
@@ -81,8 +85,7 @@ def p_n_exact(n: int) -> int:
     """The integer resultant P_n = Res(1 + x + ... + x^(n-1), A_n)."""
     if n < 2:
         raise ValueError(f"p_n_exact requires n >= 2, got {n}")
-    a = reduced_coeffs(n)
-    return resultant_exact(psi_poly(n), a, product_bound(a, n - 1))
+    return resultant_exact(n, reduced_coeffs(n))
 
 
 def _lcm_mod(n: int, mod: int, skip: int = 0) -> int:
@@ -127,13 +130,14 @@ def p_n_mod(n: int, ell: int) -> int:
     return resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
 
 
+def frame_valuation(n: int, p: int) -> int:
+    """The valuation of n / L^(n-1) at a prime p <= n."""
+    return int_valuation(n, p) - (n - 1) * floor_log(p, n)
+
+
 def frame_valuations(n: int) -> tuple[PrimeValuation, ...]:
     """Per-prime valuations of n / L^(n-1) over all primes <= n."""
-    out = []
-    for p in primes_upto(n):
-        e = int_valuation(n, p) - (n - 1) * floor_log(p, n)
-        out.append(PrimeValuation(p, e))
-    return tuple(out)
+    return tuple(PrimeValuation(p, frame_valuation(n, p)) for p in primes_upto(n))
 
 
 def disc_exact(n: int) -> DiscReport:
@@ -169,13 +173,6 @@ def disc_from_definition(n: int) -> Fraction:
     return Fraction(disc_sign(n) * n * r, L ** (n - 1))
 
 
-def _disc_from_p_n(n: int, ell: int, pn: int) -> int:
-    """disc F_n mod ell from P_n mod ell: the frame n / L^(n-1) and the sign."""
-    frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
-    r = frame * pn % ell
-    return (-r) % ell if disc_sign(n) < 0 else r
-
-
 def disc_mod(n: int, ell: int) -> int:
     """disc F_n mod ell for a prime ell > n (so the frame is invertible)."""
     if n < 2:
@@ -184,17 +181,28 @@ def disc_mod(n: int, ell: int) -> int:
         raise ValueError(f"modulus too small: {ell} <= {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    return _disc_from_p_n(n, ell, p_n_mod(n, ell))
+    frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
+    return disc_sign(n) * frame * p_n_mod(n, ell) % ell
 
 
 def disc_mod_dft(n: int, ells: list[int]) -> list[int]:
-    """disc F_n mod ell for each prime ell = 1 (mod n), n < ell < 2^31,
-    with P_n mod ell from the DFT over the n-th roots of unity in F_ell."""
+    """disc F_n mod ell for each prime ell = 1 (mod n), n < ell < 2^31.
+
+    disc F_n = sign * n * Res(F_n', F_n), and F_n' = 1 + x + ... + x^(n-1)
+    is monic with the nontrivial n-th roots of unity zeta^k as roots.
+    There x^n/n = 1/n, so F_n agrees with
+    c = (1 + 1/n) + x + x^2/2 + ... + x^(n-1)/(n-1), and
+    disc F_n = sign * n * prod_(k=1..n-1) c(zeta^k) (mod ell): the rows
+    of c mod ell are inverses, and no L, A_n or big integer enters.
+    """
     for ell in ells:
         if ell % n != 1 or not n < ell < _NP_MAX_MOD or not is_prime(ell):
             raise ValueError(f"modulus must be a prime = 1 (mod {n}) in ({n}, 2^31), got {ell}")
-    pns = _all_ones_residues(n, reduced_coeffs(n), ells)
-    return [_disc_from_p_n(n, ell, pn) for ell, pn in zip(ells, pns)]
+    P = np.array(ells, dtype=np.int64)
+    C = _pow_mod(np.arange(n + 1), P[:, None] - 2, P[:, None])  # 1/j mod ell by Fermat
+    C[:, 0] = (1 + C[:, n]) % P
+    res = _all_ones_residues(n, C[:, :n], P)
+    return [disc_sign(n) * n * r % ell for ell, r in zip(ells, res)]
 
 
 @lru_cache(maxsize=None)
@@ -208,8 +216,7 @@ def x_of(m: int) -> Fraction:
     if m < 2:
         raise ValueError(f"x_of requires m >= 2, got {m}")
     L = lcm_upto(m)
-    g = [L // m] + [L // j for j in range(1, m)]
-    r = resultant_exact(psi_poly(m), g, product_bound(g, m - 1))
+    r = resultant_exact(m, [L // m] + [L // j for j in range(1, m)])
     return Fraction(r, L ** (m - 1))
 
 

@@ -4,7 +4,6 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the lines as
 they complete.
 """
 
-import math
 import random
 import time
 from collections import Counter
@@ -18,7 +17,7 @@ from logdisc.arith import (
     next_prime,
 )
 from logdisc.certify import bertrand_prime, classify, verify_certificate
-from logdisc.poly import resultant_exact, resultant_prs
+from logdisc.poly import psi_poly, resultant_exact, resultant_prs
 from logdisc.sweep import SweepConfig, run_sweep, verify_file
 from logdisc.trunclog import (
     disc_exact,
@@ -167,14 +166,10 @@ def test_criterion_5_oracle_equivalence():
     rng = random.Random(5001)
     ok_res = True
     for _ in range(100):
-        f = [rng.randrange(-50, 51) for _ in range(rng.randrange(1, 9))] + [1]
+        n = rng.randrange(2, 10)
         g = [rng.randrange(-50, 51) for _ in range(rng.randrange(1, 9))]
         g.append(rng.choice([c for c in range(-50, 51) if c]))
-        # Hadamard bound: |Res(f,g)| <= ||f||^deg g * ||g||^deg f
-        nf = math.isqrt(sum(c * c for c in f)) + 1
-        ng = math.isqrt(sum(c * c for c in g)) + 1
-        bound = nf ** (len(g) - 1) * ng ** (len(f) - 1)
-        ok_res &= resultant_exact(f, g, bound) == resultant_prs(f, g)
+        ok_res &= resultant_exact(n, g) == resultant_prs(psi_poly(n), g)
     ok = report(
         "disc_exact = disc_from_definition for 2 <= n <= 30", ok_disc
     ) & report("resultant_exact = resultant_prs on 100 random instances", ok_res)

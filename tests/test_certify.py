@@ -40,6 +40,9 @@ def test_witness_search_pinned():
     assert witness_search(333, 10) == (3331, 3148)
     assert witness_search(33, 10) == (199, 39)
     assert witness_search(505, 10) == (5051, 1018)
+    # two large witness n of the n = 1 (mod 4) sweep up to 10^4
+    assert witness_search(4005, 50) == (64081, 54201)
+    assert witness_search(9765, 50) == (507781, 316307)
 
 
 def test_nearest_prime_witnesses_still_verify():

@@ -19,20 +19,12 @@ from logdisc.poly import (
     _unity_dft,
     degree,
     normalize,
-    product_bound,
     psi_poly,
     resultant_exact,
     resultant_mod_p,
     resultant_prs,
 )
 from logdisc.trunclog import p_n_exact
-
-
-def hadamard_bound(f, g):
-    """|Res(f,g)| <= ||f||^deg g * ||g||^deg f, valid for any f, g."""
-    nf = math.isqrt(sum(c * c for c in f)) + 1
-    ng = math.isqrt(sum(c * c for c in g)) + 1
-    return nf ** (len(g) - 1) * ng ** (len(f) - 1)
 
 
 def random_poly(rng, deg, lead_one=False, cmax=50):
@@ -144,7 +136,7 @@ def test_resultant_mod_p_matches_unity_dft():
     for n in (5, 64, 65, 127, 128, 138):
         f = psi_poly(n)
         g = random_poly(rng, n, cmax=10**3)
-        exact = resultant_exact(f, g, product_bound(g, n - 1))
+        exact = resultant_exact(n, g)
         for p in (10007, (1 << 31) - 1, (1 << 61) - 1):
             assert resultant_mod_p(f, g, p) == exact % p
 
@@ -287,11 +279,9 @@ def test_resultant_mod_p_lazy_reduction_property(data):
 def test_resultant_exact_matches_prs_random():
     rng = random.Random(2007)
     for _ in range(100):
-        f = random_poly(rng, rng.randrange(1, 9), lead_one=True)
+        n = rng.randrange(2, 10)
         g = random_poly(rng, rng.randrange(0, 9))
-        want = resultant_prs(f, g)
-        got = resultant_exact(f, g, hadamard_bound(f, g))
-        assert got == want
+        assert resultant_exact(n, g) == resultant_prs(psi_poly(n), g), (n, g)
 
 
 def test_resultant_exact_all_ones_path_matches_prs():
@@ -301,9 +291,7 @@ def test_resultant_exact_all_ones_path_matches_prs():
         f = psi_poly(n)
         for _ in range(10):
             g = random_poly(rng, rng.randrange(0, n + 2), cmax=30)
-            want = resultant_prs(f, g)
-            got = resultant_exact(f, g, product_bound(g, n - 1) * 100)
-            assert got == want, (n, g)
+            assert resultant_exact(n, g) == resultant_prs(f, g), (n, g)
 
 
 def test_resultant_exact_euclid_tail_after_the_progression(monkeypatch):
@@ -327,7 +315,7 @@ def test_resultant_exact_euclid_tail_after_the_progression(monkeypatch):
     for _ in range(5):
         g = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(rng.randrange(2, 15))]
         euclid.clear()
-        assert resultant_exact(f, g, product_bound(g, 11)) == resultant_prs(f, g)
+        assert resultant_exact(12, g) == resultant_prs(f, g)
         # the tail moduli and the check prime
         assert len(euclid) > 2 and all(p < 601 and p % 12 != 1 for p in euclid)
 
@@ -374,6 +362,16 @@ def eval_mod(g, x, p):
     return acc
 
 
+def unity_dft(n, g, primes):
+    """_unity_dft on the rows g mod (x^n - 1, p), folded and reduced over
+    Python ints."""
+    a = [0] * n
+    for i, c in enumerate(g):
+        a[i % n] += c
+    C = np.array([[c % p for c in a] for p in primes], dtype=np.int64)
+    return _unity_dft(n, C, np.array(primes, dtype=np.int64))
+
+
 # primes and prime powers, mixed factorisations, a radix at the matmul
 # threshold (22 = 2 * 11), radices above 64 (67, 122, 131) and one whose
 # matrix of roots is built a few rows at a time (1031)
@@ -388,7 +386,7 @@ def test_unity_dft_matches_poly_eval(n):
     top = _descending_primes_1_mod_n(n)
     small = _descending_primes_1_mod_n(n, top=n * 1000 + 1)
     primes = [next(top), next(top), next(small)]
-    vals = _unity_dft(n, g, primes)
+    vals = unity_dft(n, g, primes)
     assert vals.shape == (len(primes), n)
     for row, p in zip(vals, primes):
         z = _order_n_root(n, p, factorize(n))
@@ -405,9 +403,9 @@ def test_unity_dft_matmul_matches_horner_across_chunks(n, count, monkeypatch):
     rng = random.Random(2017 * n + count)
     g = [rng.randrange(-(1 << 90), 1 << 90) for _ in range(n)]
     primes = list(itertools.islice(_descending_primes_1_mod_n(n), count))
-    got = _unity_dft(n, g, primes)
+    got = unity_dft(n, g, primes)
     monkeypatch.setattr(poly, "_MATMUL_RADIX", poly._MATMUL_RADIX_TOP)  # Horner only
-    assert np.array_equal(got, _unity_dft(n, g, primes))
+    assert np.array_equal(got, unity_dft(n, g, primes))
 
 
 def test_dft_matmul_guard(monkeypatch):
@@ -428,7 +426,7 @@ def test_dft_matmul_guard(monkeypatch):
         calls.clear()
         g = list(range(1, n + 3))
         primes = list(itertools.islice(_descending_primes_1_mod_n(n), 2))
-        vals = _unity_dft(n, g, primes)
+        vals = unity_dft(n, g, primes)
         assert bool(calls) == radix_takes_matmul, n
         for row, p in zip(vals, primes):
             z = _order_n_root(n, p, factorize(n))
@@ -499,10 +497,12 @@ def test_p_n_exact_digest_pinned(n):
 
 
 def test_unity_dft_coefficients_past_one_matmul_chunk():
-    # 200,000 limbs of 0xffff: one unchunked int64 matmul would overflow
+    # rows from _residue_table, as resultant_exact builds them; 200,000
+    # limbs of 0xffff: one unchunked int64 matmul would overflow
     g = [(1 << 3_200_000) - 1, -(3**380_000), 7, -1]
     primes = list(itertools.islice(_descending_primes_1_mod_n(3), 4))
-    vals = _unity_dft(3, g, primes)
+    P = np.array(primes, dtype=np.int64)
+    vals = _unity_dft(3, poly._residue_table([g[0] + g[3], g[1], g[2]], P), P)
     for row, p in zip(vals, primes):
         z = _order_n_root(3, p, {3: 1})
         want = [poly_eval([c % p for c in g], pow(z, k, p)) % p for k in range(3)]
@@ -514,39 +514,44 @@ def test_unity_dft_coefficients_past_one_matmul_chunk():
 def test_resultant_exact_all_ones_property(data):
     n = data.draw(st.integers(2, 60))
     g = data.draw(st.lists(st.integers(-(1 << 70), 1 << 70), max_size=n + 3))
-    f = psi_poly(n)
-    assert resultant_exact(f, g, product_bound(g, n - 1)) == resultant_prs(f, g)
+    assert resultant_exact(n, g) == resultant_prs(psi_poly(n), g)
 
 
-def test_resultant_exact_low_bound_raises():
-    # |Res| is about 10^24 on both routes, far past one word prime
-    cases = [(psi_poly(5), [10**6, 1]), ([-2, 0, 1], [10**12, 1])]
-    for f, g in cases:
-        assert abs(resultant_prs(f, g)) > 1 << 62
-        with pytest.raises(ArithmeticError, match="bound"):
-            resultant_exact(f, g, 1)
-        assert resultant_exact(f, g, hadamard_bound(f, g)) == resultant_prs(f, g)
-    # bound 0 claims Res = 0; the generic route then has no moduli at all
-    with pytest.raises(ArithmeticError, match="bound"):
-        resultant_exact([-2, 0, 1], [1, 1], 0)
-    assert resultant_exact([-2, 0, 1], [-2, 0, 1], 0) == 0
-    assert resultant_exact(psi_poly(3), [1, 1, 1], 0) == 0
+def test_resultant_exact_check_prime_catches_a_wrong_residue(monkeypatch):
+    # one DFT value off by one at one prime shifts the CRT value, and the
+    # check prime, by Euclid, must refuse it
+    dft = poly._unity_dft
+
+    def corrupted(n, C, P):
+        vals = dft(n, C, P)
+        vals[0, 1] = (vals[0, 1] + 1) % P[0]
+        return vals
+
+    for n in (5, 12, 67):
+        g = [10**6, 1] + [3] * (n - 2)
+        assert resultant_exact(n, g) == resultant_prs(psi_poly(n), g)
+        with monkeypatch.context() as m:
+            m.setattr(poly, "_unity_dft", corrupted)
+            with pytest.raises(ArithmeticError, match="disagrees"):
+                resultant_exact(n, g)
 
 
 def test_resultant_exact_zero_detection():
-    # f and g sharing the factor x^2+x+1 must give exactly 0
-    f = poly_mul([1, 1, 1], [1, 1])  # psi_4 in disguise
-    g = poly_mul([1, 1, 1], [5, 7])
-    assert resultant_exact(f, g, hadamard_bound(f, g)) == 0
+    # g sharing a factor with 1 + x + ... + x^(n-1) must give exactly 0
+    assert resultant_exact(4, poly_mul([1, 0, 1], [5, 7])) == 0
+    assert resultant_exact(6, poly_mul([1, 1, 1], [5, 7])) == 0
+    assert resultant_exact(3, [1, 1, 1]) == 0
+    assert resultant_exact(3, []) == 0
 
 
 def test_resultant_exact_against_complex_roots():
-    # float oracle: |Res| = |prod g(root)| for monic f, to relative tolerance
+    # float oracle: |Res| = |prod g(root)| over the roots of
+    # 1 + x + ... + x^(n-1), to relative tolerance
     rng = random.Random(2009)
     for _ in range(30):
-        f = random_poly(rng, rng.randrange(2, 7), lead_one=True, cmax=8)
+        f = psi_poly(rng.randrange(2, 8))
         g = random_poly(rng, rng.randrange(1, 6), cmax=8)
-        exact = resultant_exact(f, g, hadamard_bound(f, g))
+        exact = resultant_exact(len(f), g)
         roots = np.roots(list(reversed(f)))
         approx = 1.0
         for r in roots:
@@ -555,24 +560,7 @@ def test_resultant_exact_against_complex_roots():
             assert math.isclose(abs(exact), abs(approx), rel_tol=1e-5), (f, g)
 
 
-def test_product_bound_bounds_unit_circle_products():
-    rng = random.Random(2010)
-    for n in (3, 5, 8):
-        f = psi_poly(n)
-        for _ in range(40):
-            g = random_poly(rng, rng.randrange(0, 6))
-            assert abs(resultant_prs(f, g)) <= product_bound(g, n - 1)
-
-
-def test_product_bound_validates():
-    with pytest.raises(ValueError):
-        product_bound([1, 2], -1)
-    assert product_bound([3, -4], 2) == 49
-    assert product_bound([], 3) == 0
-
-
-def test_resultant_exact_rejects_nonmonic():
-    with pytest.raises(ValueError):
-        resultant_exact([1, 2], [1], 10)
-    with pytest.raises(ValueError):
-        resultant_exact([1, 1], [1], -3)
+def test_resultant_exact_rejects_n_below_2():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="n >= 2"):
+            resultant_exact(n, [1])

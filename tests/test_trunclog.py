@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import poly_mul, rat_valuation
@@ -229,17 +229,54 @@ def test_disc_mod_pinned_values():
     assert disc_mod(685, 709) == 443
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 150), st.integers(1, (1 << 31) // 601))
-def test_disc_mod_dft_matches_disc_mod(j, k):
-    # n = 1 (mod 4) in 5..601, three primes ell = 1 (mod n) from kn + 1 up
-    n = 4 * j + 1
+# n in every class mod 4, and prime n from 11 up, whose one radix takes
+# the matmul path of the DFT
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 601), st.integers(1, (1 << 31) // 601), st.integers(0, 4))
+@example(11, 1, 4)
+@example(13, 5, 3)
+@example(131, 1, 2)
+@example(601, 3, 1)
+@example(1031, 1, 4)
+@example(22, 1, 0)
+def test_disc_mod_dft_matches_disc_mod(n, k, size):
+    # a batch of `size` primes ell = 1 (mod n) from kn + 1 up; the empty
+    # batch gives []
     ells, ell = [], k * n + 1
-    while len(ells) < 3 and ell < 1 << 31:
+    while len(ells) < size and ell < 1 << 31:
         if is_prime(ell):
             ells.append(ell)
         ell += n
     assert disc_mod_dft(n, ells) == [disc_mod(n, ell) for ell in ells]
+
+
+def test_disc_is_sign_n_res_of_derivative_and_c():
+    # the identity disc_mod_dft evaluates, over Q: at the roots of
+    # F_n' = 1 + ... + x^(n-1), F_n agrees with
+    # c = (1 + 1/n) + x + x^2/2 + ... + x^(n-1)/(n-1), so
+    # disc F_n = sign * n * Res(F_n', L c) / L^(n-1)
+    for n in range(2, 41):
+        L = lcm_upto(n)
+        lc = [L + L // n] + [L // j for j in range(1, n)]
+        res = Fraction(resultant_prs(psi_poly(n), lc), L ** (n - 1))
+        assert disc_exact(n).exact == disc_sign(n) * n * res, n
+
+
+def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
+    # neither A_n, nor its limb table, nor L mod ell: the witness rows
+    # are inverses mod ell alone
+    import logdisc.poly as poly
+    import logdisc.trunclog as trunclog
+
+    ells = [ell for ell in range(334, 20000, 333) if is_prime(ell)][:4]
+    want = [disc_mod(333, ell) for ell in ells]
+
+    def forbidden(*args):
+        raise AssertionError("big-integer path reached")
+
+    for module, name in ((trunclog, "reduced_coeffs"), (trunclog, "_lcm_mod"), (poly, "_residue_table")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert disc_mod_dft(333, ells) == want
 
 
 def test_disc_mod_dft_rejects_moduli_outside_its_range():
