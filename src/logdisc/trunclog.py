@@ -254,40 +254,3 @@ def in_exceptional_set(m: int, ell: int) -> bool:
         x_of(m).numerator % ell == 0
         or harmonic(m).numerator % ell == 0
     )
-
-
-def predicted_interval_residue(n: int, ell: int) -> int:
-    """Predicted P_n mod ell for n = 0 (mod 4) and a prime ell in
-    (n/2, n-2): -(L/ell)^(n-1) mod ell, nonzero; ell^2 > n, so L/ell is
-    the product of the maximal prime powers away from ell."""
-    if n % 4 or not n // 2 < ell < n - 2 or not is_prime(ell):
-        raise ValueError("predicted_interval_residue needs n = 0 (mod 4) and a prime ell in (n/2, n-2)")
-    return -pow(_lcm_mod(n, ell, skip=ell), n - 1, ell) % ell
-
-
-def predicted_prime_power_residue(p: int, e: int) -> int:
-    """Predicted P_n mod p for n = p**e: (L/n)^(n-1) mod p, nonzero."""
-    if e < 1 or not is_prime(p):
-        raise ValueError("predicted_prime_power_residue needs prime p and e >= 1")
-    n = p**e
-    # L/n is the product of the maximal prime powers away from p
-    return pow(_lcm_mod(n, p, skip=p), n - 1, p)
-
-
-def predicted_split_residue(m: int, q: int) -> int:
-    """Predicted P_n mod q for n = m*q with prime q > m coprime to m:
-
-        (L_n / q)^(n-1) * X(m)^q * Y(m)^(q-1)  (mod q).
-
-    The denominators of X(m) and Y(m) involve only primes <= m < q, so
-    everything is invertible mod q.
-    """
-    if not is_prime(q) or q <= m or m < 2:
-        raise ValueError("predicted_split_residue needs prime q > m >= 2")
-    n = m * q
-    base = pow(_lcm_mod(n, q, skip=q), n - 1, q)
-    x = x_of(m)
-    y = harmonic(m)
-    xq = x.numerator % q * pow(x.denominator, -1, q) % q
-    yq = y.numerator % q * pow(y.denominator, -1, q) % q
-    return base * pow(xq, q, q) % q * pow(yq, q - 1, q) % q

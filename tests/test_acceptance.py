@@ -9,7 +9,12 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-from helpers import rat_valuation
+from helpers import (
+    predicted_interval_residue,
+    predicted_prime_power_residue,
+    predicted_split_residue,
+    rat_valuation,
+)
 from logdisc.arith import (
     int_valuation,
     lcm_upto,
@@ -26,9 +31,6 @@ from logdisc.trunclog import (
     exceptional_set,
     p_n_exact,
     p_n_mod,
-    predicted_interval_residue,
-    predicted_prime_power_residue,
-    predicted_split_residue,
 )
 
 # published factorization of P_21; the 80-digit prime is verified only

@@ -137,6 +137,21 @@ def test_classify_unresolved_when_starved(monkeypatch):
         "unresolved", witness_attempts=2)
 
 
+def test_classify_evaluates_no_theorem_residue(monkeypatch):
+    # the theorem routes are chosen from the shape of n alone: with L mod
+    # ell unavailable, classify still gives every certificate of the
+    # range-sweep window (the split route reads E_m membership only)
+    import logdisc.trunclog as trunclog_mod
+
+    want = [classify(n) for n in range(2, 1210)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed-form residue evaluated")
+
+    monkeypatch.setattr(trunclog_mod, "_lcm_mod", forbidden)
+    assert [classify(n) for n in range(2, 1210)] == want
+
+
 def test_round_trip_2_to_300():
     for n in range(2, 301):
         cert = classify(n)

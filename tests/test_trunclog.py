@@ -5,8 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import poly_mul, rat_valuation
+from helpers import (
+    poly_mul,
+    predicted_interval_residue,
+    predicted_prime_power_residue,
+    predicted_split_residue,
+    rat_valuation,
+)
 from logdisc.arith import (
+    factorize,
     is_prime,
     lcm_upto,
     legendre_symbol,
@@ -27,9 +34,6 @@ from logdisc.trunclog import (
     in_exceptional_set,
     p_n_exact,
     p_n_mod,
-    predicted_interval_residue,
-    predicted_prime_power_residue,
-    predicted_split_residue,
     reduced_coeffs,
     x_of,
 )
@@ -381,6 +385,24 @@ def test_predicted_split_residue():
     assert p_n_mod(9 * 37, 37) == 0
     with pytest.raises(ValueError):
         predicted_split_residue(7, 5)
+
+
+def test_split_residue_vanishes_exactly_on_the_exceptional_set():
+    # classify takes the split route whenever q is outside E_m, without
+    # evaluating the residue; that is sound because the closed form is
+    # zero exactly on E_m
+    checked = exceptional = 0
+    for n in range(5, 3001, 4):
+        fac = factorize(n)
+        q = max(fac)
+        m = n // q
+        if m < 2 or fac[q] != 1 or q <= m:
+            continue
+        in_e = in_exceptional_set(m, q)
+        assert (predicted_split_residue(m, q) == 0) == in_e, (m, q)
+        checked += 1
+        exceptional += in_e
+    assert (checked, exceptional) == (396, 14)
 
 
 def test_witness_residues_are_nonresidues():
