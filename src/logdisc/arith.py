@@ -57,21 +57,13 @@ def primes_upto(n: int) -> list[int]:
     return _sieve_primes[: bisect.bisect_right(_sieve_primes, n)]
 
 
-def max_prime_power_upto(p: int, n: int) -> int:
-    """Largest power of p that is <= n (p itself must be <= n)."""
-    q = p
-    while q * p <= n:
-        q *= p
-    return q
-
-
 def lcm_upto(n: int) -> int:
     """lcm(1, 2, ..., n) as the product of maximal prime powers <= n."""
     if n < 1:
         raise ValueError(f"lcm_upto requires n >= 1, got {n}")
     out = 1
     for p in primes_upto(n):
-        out *= max_prime_power_upto(p, n)
+        out *= p ** floor_log(p, n)
     return out
 
 

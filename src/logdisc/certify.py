@@ -49,7 +49,6 @@ _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # every integer field a certificate may carry, in the order sweep files
 # write them
 CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
-_WITNESS_BATCH = 4  # primes per DFT batch of the witness search
 _EXACT_MAX_N = 1000  # largest n whose exact claims verify_failure recomputes
 
 
@@ -88,21 +87,18 @@ def witness_search(n: int, max_attempts: int) -> tuple[int, int] | None:
     """First (ell, disc F_n mod ell) with the residue a quadratic
     non-residue, over the primes ell = 1 (mod n) above n, upward.
 
-    disc_mod_dft gives _WITNESS_BATCH residues at a time; each prime is
-    one attempt, and a zero residue says nothing.  None after
-    max_attempts primes; ArithmeticError once the scan reaches 2^31,
-    where the int64 DFT stops.
+    Each prime is one attempt and one disc_mod_dft call; a zero residue
+    says nothing.  None after max_attempts primes; ArithmeticError once
+    the scan reaches 2^31, where the int64 DFT stops.
     """
     primes = (ell for ell in range(n + 1, _NP_MAX_MOD, n) if is_prime(ell))
-    left = max_attempts
-    while left > 0:
-        batch = list(islice(primes, min(_WITNESS_BATCH, left)))
-        if not batch:
-            raise ArithmeticError(f"witness search for n = {n} reached 2^31")
-        for ell, r in zip(batch, disc_mod_dft(n, batch)):
-            if r and legendre_symbol(r, ell) == -1:
-                return ell, r
-        left -= len(batch)
+    tried = 0
+    for tried, ell in enumerate(islice(primes, max_attempts), 1):
+        r = disc_mod_dft(n, ell)
+        if r and legendre_symbol(r, ell) == -1:
+            return ell, r
+    if tried < max_attempts:
+        raise ArithmeticError(f"witness search for n = {n} reached 2^31")
     return None
 
 

@@ -32,7 +32,7 @@ from itertools import accumulate
 import numpy as np
 
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
-from .arith import is_prime, lcm_upto, max_prime_power_upto, primes_upto
+from .arith import is_prime, lcm_upto, primes_upto
 from .poly import _NP_MAX_MOD, _all_ones_residues, _pow_mod, psi_poly
 from .poly import resultant_exact, resultant_mod_p, resultant_prs
 
@@ -95,7 +95,7 @@ def _lcm_mod(n: int, mod: int, skip: int = 0) -> int:
     for p in primes_upto(n):
         if p == skip:
             continue
-        out = out * max_prime_power_upto(p, n) % mod
+        out = out * p ** floor_log(p, n) % mod
     return out
 
 
@@ -185,24 +185,22 @@ def disc_mod(n: int, ell: int) -> int:
     return disc_sign(n) * frame * p_n_mod(n, ell) % ell
 
 
-def disc_mod_dft(n: int, ells: list[int]) -> list[int]:
-    """disc F_n mod ell for each prime ell = 1 (mod n), n < ell < 2^31.
+def disc_mod_dft(n: int, ell: int) -> int:
+    """disc F_n mod a prime ell = 1 (mod n), n < ell < 2^31.
 
     disc F_n = sign * n * Res(F_n', F_n), and F_n' = 1 + x + ... + x^(n-1)
     is monic with the nontrivial n-th roots of unity zeta^k as roots.
     There x^n/n = 1/n, so F_n agrees with
     c = (1 + 1/n) + x + x^2/2 + ... + x^(n-1)/(n-1), and
-    disc F_n = sign * n * prod_(k=1..n-1) c(zeta^k) (mod ell): the rows
-    of c mod ell are inverses, and no L, A_n or big integer enters.
+    disc F_n = sign * n * prod_(k=1..n-1) c(zeta^k) (mod ell): c mod ell
+    is a row of inverses, and no L, A_n or big integer enters.
     """
-    for ell in ells:
-        if ell % n != 1 or not n < ell < _NP_MAX_MOD or not is_prime(ell):
-            raise ValueError(f"modulus must be a prime = 1 (mod {n}) in ({n}, 2^31), got {ell}")
-    P = np.array(ells, dtype=np.int64)
-    C = _pow_mod(np.arange(n + 1), P[:, None] - 2, P[:, None])  # 1/j mod ell by Fermat
-    C[:, 0] = (1 + C[:, n]) % P
-    res = _all_ones_residues(n, C[:, :n], P)
-    return [disc_sign(n) * n * r % ell for ell, r in zip(ells, res)]
+    if ell % n != 1 or not n < ell < _NP_MAX_MOD or not is_prime(ell):
+        raise ValueError(f"modulus must be a prime = 1 (mod {n}) in ({n}, 2^31), got {ell}")
+    C = _pow_mod(np.arange(n + 1), ell - 2, ell)  # 1/j mod ell by Fermat
+    C[0] = (1 + C[n]) % ell
+    (r,) = _all_ones_residues(n, C[None, :n], np.array([ell], dtype=np.int64))
+    return disc_sign(n) * n * r % ell
 
 
 @lru_cache(maxsize=None)

@@ -69,19 +69,39 @@ def test_witness_search_scans_in_order():
         assert legendre_symbol(res, ell) == -1
 
 
-def test_witness_search_budget_exhaustion():
+def test_witness_search_budget_exhaustion(monkeypatch):
+    import logdisc.certify as certify
+
+    real, calls = certify.disc_mod_dft, []
+
+    def recording(n, ell):
+        calls.append(ell)
+        return real(n, ell)
+
+    monkeypatch.setattr(certify, "disc_mod_dft", recording)
     assert witness_search(9, 0) is None
-    # each prime is one attempt, also inside a batch: 9's first witness
-    # is its third prime = 1 (mod 9), 73
+    assert calls == []
+    # each prime is one attempt and one DFT, in ascending order: 9's
+    # first witness is its third prime = 1 (mod 9), 73
     assert witness_search(9, 2) is None
+    assert calls == [19, 37]
+    calls.clear()
     assert witness_search(9, 3) == (73, 21)
+    assert calls == [19, 37, 73]
 
 
-def test_witness_search_stops_below_two_to_the_31():
+def test_witness_search_stops_below_two_to_the_31(monkeypatch):
+    import logdisc.certify as certify
+
     # the DFT works in int64, so a modulus of 2^31 or more must never
     # reach it; every candidate kn + 1 for n = 2^31 - 1 is at least 2^31
     with pytest.raises(ArithmeticError, match="2\\^31"):
         witness_search((1 << 31) - 1, 1)
+    # primes that run out before the budget is spent: below 60, 9 has
+    # only 19 and 37, neither a witness
+    monkeypatch.setattr(certify, "_NP_MAX_MOD", 60)
+    with pytest.raises(ArithmeticError, match="reached 2\\^31"):
+        witness_search(9, 5)
 
 
 def test_classify_routing():
