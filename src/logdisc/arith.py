@@ -12,6 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 DEFAULT_RHO_BUDGET = 10_000_000
 
@@ -91,6 +92,7 @@ def floor_log(base: int, n: int) -> int:
     return e
 
 
+@lru_cache(maxsize=None)
 def harmonic(m: int) -> Fraction:
     """1 + 1/2 + ... + 1/m as an exact rational."""
     if m < 1:

@@ -191,7 +191,10 @@ def _descending_primes_1_mod_n(n: int, top: int = _WORD_PRIME_TOP):
         return
     S = np.array(primes_upto(math.isqrt(c0)), dtype=np.int64)
     S = S[n % S != 0]
-    K = c0 % S * _pow_mod(n % S, S - 2, S) % S  # n^-1 by Fermat; s | c_k iff k = K (mod s)
+    # n^-1 = (1 - s u) / n (mod s) for u = s^-1 (mod n), one pow per class of s mod n
+    R, cls = np.unique(S % n, return_inverse=True)
+    U = np.array([pow(r, -1, n) for r in R.tolist()], dtype=np.int64)[cls]
+    K = c0 % S * ((1 - S * U) // n % S) % S  # s | c_k iff k = K (mod s)
     lo, seg = 0, _SEGMENT_FIRST
     while lo < count:
         seg = min(seg, count - lo)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, primes_upto
-from .poly import _NP_MAX_MOD, _all_ones_residues, _pow_mod, psi_poly
+from .poly import _NP_MAX_MOD, _all_ones_residues, psi_poly
 from .poly import resultant_exact, resultant_mod_p, resultant_prs
 
 
@@ -193,11 +193,16 @@ def disc_mod_dft(n: int, ell: int) -> int:
     There x^n/n = 1/n, so F_n agrees with
     c = (1 + 1/n) + x + x^2/2 + ... + x^(n-1)/(n-1), and
     disc F_n = sign * n * prod_(k=1..n-1) c(zeta^k) (mod ell): c mod ell
-    is a row of inverses, and no L, A_n or big integer enters.
+    is a row of inverses, and no L, A_n or big integer enters.  The row
+    is the recurrence 1/j = -(ell // j) * 1/(ell mod j), from
+    ell = (ell // j) * j + ell mod j with 0 < ell mod j < j.
     """
     if ell % n != 1 or not n < ell < _NP_MAX_MOD or not is_prime(ell):
         raise ValueError(f"modulus must be a prime = 1 (mod {n}) in ({n}, 2^31), got {ell}")
-    C = _pow_mod(np.arange(n + 1), ell - 2, ell)  # 1/j mod ell by Fermat
+    inv = [0, 1]
+    for j in range(2, n + 1):
+        inv.append((ell - ell // j) * inv[ell % j] % ell)
+    C = np.array(inv, dtype=np.int64)
     C[0] = (1 + C[n]) % ell
     (r,) = _all_ones_residues(n, C[None, :n], np.array([ell], dtype=np.int64))
     return disc_sign(n) * n * r % ell

@@ -330,7 +330,10 @@ def scan_primes_1_mod_n(n, top=_WORD_PRIME_TOP):
         c -= n
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 9, 21, 100, 128, 333, 997])
+# 210, 2310 and 30030 drop their factors from the sieving primes and
+# spread the rest over many classes mod n, 46337 is the largest prime
+# below sqrt(2^31), and at 65536 every sieving prime is its own class
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 21, 100, 128, 333, 997, 210, 2310, 30030, 46337, 65536])
 def test_sieved_progression_matches_plain_scan(n):
     # 3,000 primes cross many sieve segments; at the small tops the
     # sieving primes are themselves candidates and must survive
@@ -338,6 +341,8 @@ def test_sieved_progression_matches_plain_scan(n):
     assert head == list(itertools.islice(scan_primes_1_mod_n(n), 3000))
     for top in (n * 1000 + 1, 50 * n + 1, 5 * n + 1):
         assert list(_descending_primes_1_mod_n(n, top)) == list(scan_primes_1_mod_n(n, top))
+        # a caller that takes a single prime
+        assert next(_descending_primes_1_mod_n(n, top), None) == next(scan_primes_1_mod_n(n, top), None)
 
 
 def test_sieved_progression_resumes_and_bounds_top():

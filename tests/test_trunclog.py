@@ -234,19 +234,24 @@ def test_disc_mod_pinned_values():
 
 
 # n in every class mod 4, and prime n from 11 up, whose one radix takes
-# the matmul path of the DFT
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.integers(2, 601), st.integers(1, (1 << 31) // 601))
-@example(11, 1)
-@example(13, 5)
-@example(131, 1)
-@example(601, 3)
-@example(1031, 1)
-@example(22, 1)
-def test_disc_mod_dft_matches_disc_mod(n, k):
-    # the first prime ell = 1 (mod n) from kn + 1 up; n = 22 takes 23
-    ell = k * n + 1
-    while not is_prime(ell):
+# the matmul path of the DFT; ell from just above n to just below 2^31,
+# so the row of inverses 1/j mod ell meets every size of ell // j
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 3000), st.integers(0, (1 << 31) - 2))
+@example(11, 11)
+@example(13, 65)
+@example(131, 131)
+@example(601, 1803)
+@example(1031, 1031)
+@example(22, 22)
+@example(2999, 0)
+@example(3000, 2147469000)
+@example(2, 2147483646)
+def test_disc_mod_dft_matches_disc_mod(n, t):
+    # the first prime ell = 1 (mod n) above t and n; n = 22 takes 23,
+    # 2999 takes 23993
+    ell = t - t % n + 1
+    while ell <= n or not is_prime(ell):
         ell += n
     assume(ell < 1 << 31)
     assert disc_mod_dft(n, ell) == disc_mod(n, ell)
@@ -266,7 +271,7 @@ def test_disc_is_sign_n_res_of_derivative_and_c():
 
 def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
     # neither A_n, nor its limb table, nor L mod ell: the witness rows
-    # are inverses mod ell alone
+    # are inverses mod ell alone, and they take no Fermat power
     import logdisc.poly as poly
     import logdisc.trunclog as trunclog
 
@@ -274,9 +279,11 @@ def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
     want = [disc_mod(333, ell) for ell in ells]
 
     def forbidden(*args):
-        raise AssertionError("big-integer path reached")
+        raise AssertionError("a forbidden path ran")
 
-    for module, name in ((trunclog, "reduced_coeffs"), (trunclog, "_lcm_mod"), (poly, "_residue_table")):
+    assert not hasattr(trunclog, "_pow_mod")
+    for module, name in ((trunclog, "reduced_coeffs"), (trunclog, "_lcm_mod"), (poly, "_residue_table"),
+                         (poly, "_pow_mod")):
         monkeypatch.setattr(module, name, forbidden)
     assert [disc_mod_dft(333, ell) for ell in ells] == want
 
