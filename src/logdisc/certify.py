@@ -17,9 +17,9 @@ claim from scratch.  Routes, in the order tried:
 The producer runs no Euclid: theorem routes are chosen from the shape
 of n, and witnesses are primes ell = 1 (mod n), where a DFT over the
 n-th roots of unity gives disc F_n mod ell straight from the
-coefficients of F_n.  verify_failure recomputes every residue by Euclid
-on A_n mod ell and takes a witness at any prime ell > n, so files of
-the former nearest-prime policy still verify.
+coefficients of F_n.  verify_failure checks the three valuation routes
+by one rule (prime r, odd frame valuation, P_n mod r nonzero by Euclid),
+never consults E_m, and takes a witness at any prime n < ell < 2^31.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     else:
         q = max(fac)
         m = n // q
-        if fac[q] == 1 and q > m and not in_exceptional_set(m, q):
+        if q > m and not in_exceptional_set(m, q):
             return Certificate("split_theorem", m=m, q=q)
 
     found = witness_search(n, cfg.max_witness_attempts)
@@ -171,54 +171,14 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         if n % 4 not in (2, 3):
             return f"sign of disc F_{n} is positive"
         return None
-    if kind == "odd_valuation":
-        ell = cert.ell
-        if n % 4 or not (n // 2 < ell < n - 2):
-            return f"{ell} is outside the interval ({n // 2}, {n - 2}) for n = 0 (mod 4)"
-        if not is_prime(ell):
-            return f"{ell} is not prime"
-        if frame_valuation(n, ell) % 2 == 0:
-            return f"frame valuation at {ell} is even"
-        if p_n_mod(n, ell) == 0:
-            return f"P_{n} vanishes mod {ell}"
-        return None
-    if kind == "odd_prime_power_valuation":
-        p, e = cert.p, cert.e
-        # p^e = n needs 2 <= p <= n and 1 <= e <= log2(n); bound both
-        # before the power, whose cost grows with e
-        if not (2 <= p <= n and 1 <= e <= n.bit_length()) or p**e != n:
-            return f"n != {p}^{e}"
-        if not is_prime(p):
-            return f"{p} is not prime"
-        if n % 4 != 1:
-            return "prime power route needs n = 1 (mod 4)"
-        if frame_valuation(n, p) % 2 == 0:
-            return f"frame valuation at {p} is even"
-        if p_n_mod(n, p) == 0:
-            return f"P_{n} vanishes mod {p}"
-        return None
-    if kind == "split_theorem":
-        m, q = cert.m, cert.q
-        if m < 2 or m * q != n or n % 4 != 1:
-            return f"n != {m} * {q} with n = 1 (mod 4)"
-        if q <= m:
-            # q prime > m also forces gcd(q, m) = 1
-            return f"split route needs {q} > {m}"
-        if not is_prime(q):
-            return f"{q} is not prime"
-        if in_exceptional_set(m, q):
-            return f"{q} lies in the exceptional set of m = {m}"
-        if p_n_mod(n, q) == 0:
-            return f"P_{n} vanishes mod {q}"
-        return None
     if kind == "non_residue_witness":
         ell, res = cert.ell, cert.residue
         if n < 2:
             return "witness route needs n >= 2"
-        # is_prime proves primality only below 2^64; above, it is a
-        # probable-prime test, and its cost alone stalls the verifier
-        if ell >= 1 << 64:
-            return f"witness modulus has {ell.bit_length()} bits; it must lie below 2^64"
+        # the bound of witness_search: it keeps is_prime a proof and
+        # disc_mod's Euclid on int64
+        if ell >= _NP_MAX_MOD:
+            return f"witness modulus has {ell.bit_length()} bits; it must lie below 2^31"
         if ell <= n or not is_prime(ell):
             return f"witness modulus {ell} is not a prime > n"
         if disc_mod(n, ell) != res % ell:
@@ -235,8 +195,38 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         if square != (kind == "counterexample"):
             return f"disc F_{n} is {'' if square else 'not '}a rational square"
         return None
-    # unresolved: certifies nothing
-    return "unresolved records certify nothing"
+    if kind == "unresolved":
+        return "unresolved records certify nothing"
+
+    # the valuation kinds name a prime r; each checks its own shape first
+    if kind == "odd_valuation":
+        r = cert.ell
+        if n % 4 or not (n // 2 < r < n - 2):
+            return f"{r} is outside the interval ({n // 2}, {n - 2}) for n = 0 (mod 4)"
+    elif kind == "odd_prime_power_valuation":
+        r, e = cert.p, cert.e
+        # r^e = n needs 2 <= r <= n and 1 <= e <= log2(n); bound both
+        # before the power, whose cost grows with e
+        if not (2 <= r <= n and 1 <= e <= n.bit_length()) or r**e != n:
+            return f"n != {r}^{e}"
+        if n % 4 != 1:
+            return "prime power route needs n = 1 (mod 4)"
+    else:  # split_theorem
+        m, r = cert.m, cert.q
+        if m < 2 or m * r != n or n % 4 != 1:
+            return f"n != {m} * {r} with n = 1 (mod 4)"
+        if r <= m:
+            # r prime > m also forces gcd(r, m) = 1
+            return f"split route needs {r} > {m}"
+    # v_r(disc F_n) = frame_valuation(n, r) + v_r(P_n) is odd when the
+    # first term is odd and P_n is a unit mod r
+    if not is_prime(r):
+        return f"{r} is not prime"
+    if frame_valuation(n, r) % 2 == 0:
+        return f"frame valuation at {r} is even"
+    if p_n_mod(n, r) == 0:
+        return f"P_{n} vanishes mod {r}"
+    return None
 
 
 def verify_certificate(n: int, cert: Certificate) -> bool:

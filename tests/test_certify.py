@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import time
 from functools import lru_cache
 
 import pytest
@@ -15,6 +17,7 @@ from logdisc.certify import (
     verify_failure,
     witness_search,
 )
+from logdisc.sweep import SweepConfig, run_sweep, verify_file
 from logdisc.trunclog import disc_exact, disc_mod
 
 
@@ -274,9 +277,10 @@ def test_verify_route_hypotheses():
     assert not verify_certificate(10, Certificate("odd_prime_power_valuation", p=5, e=1))
     assert verify_certificate(221, Certificate("split_theorem", m=13, q=17))
     assert not verify_certificate(221, Certificate("split_theorem", m=17, q=13))
-    # 505 = 5*101: hypotheses hold except 101 is exceptional for 5
+    # 505 = 5*101: hypotheses hold except 101 is exceptional for 5, so
+    # P_505 vanishes mod 101
     bad = verify_failure(505, Certificate("split_theorem", m=5, q=101))
-    assert bad is not None and "exceptional" in bad
+    assert bad == "P_505 vanishes mod 101"
     assert not verify_certificate(2, Certificate("trivial_n1"))
     assert verify_certificate(1, Certificate("trivial_n1"))
     assert verify_certificate(4, Certificate("exact_non_square"))
@@ -338,26 +342,54 @@ def test_verify_interval_checks_come_before_primality(monkeypatch):
     assert reason is not None and "not a prime > n" in reason
 
 
-def test_verify_witness_modulus_lies_below_two_to_the_64(monkeypatch):
+def test_verify_witness_modulus_lies_below_two_to_the_31(monkeypatch):
     import logdisc.certify as certify_mod
 
     def no_call(*args):
         raise AssertionError("primality or disc_mod reached")
 
-    # is_prime is a proof only below 2^64, and above it the check alone
+    # witness_search stops at 2^31; above it disc_mod's Euclid runs on
+    # object arrays (seconds at n = 2001), and above 2^64 is_prime alone
     # takes seconds (2^9689 - 1 is a Mersenne prime)
     with monkeypatch.context() as mp:
         mp.setattr(certify_mod, "is_prime", no_call)
         mp.setattr(certify_mod, "disc_mod", no_call)
-        for ell in (1 << 64, 2**127 - 1, 2**9689 - 1):
-            reason = verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=3))
-            assert reason is not None and "below 2^64" in reason
+        for n, ell in ((33, 1 << 64), (33, 2**127 - 1), (33, 2**9689 - 1),
+                       (2001, 2**31 + 11), (2001, 2**63 - 25)):
+            t0 = time.perf_counter()
+            reason = verify_failure(n, Certificate("non_residue_witness", ell=ell, residue=3))
+            assert time.perf_counter() - t0 < 0.01
+            assert reason is not None and "below 2^31" in reason
     # the largest prime below the bound is still checked in full; disc
-    # F_33 happens to be a square mod it
-    ell = 2**64 - 59
+    # F_33 is a non-residue mod it
+    ell = 2**31 - 1
     r = disc_mod(33, ell)
-    reason = verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=r))
-    assert reason == f"{r} is not a non-residue mod {ell}"
+    assert verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=r)) is None
     assert verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=r + 1)) == (
         f"disc F_33 mod {ell} is not {r + 1}"
     )
+
+
+def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatch):
+    # the verifier shares no resultant code with the producer: past the
+    # one exact record (n = 4), a whole sweep verifies with the exact
+    # kernel and the X(m) behind E_m made to raise
+    import logdisc.poly as poly_mod
+    import logdisc.trunclog as trunclog_mod
+
+    full, rest = tmp_path / "full.jsonl", tmp_path / "rest.jsonl"
+    run_sweep(SweepConfig(2, 1209, out=str(full)))
+    lines = full.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if json.loads(line)["n"] != 4]
+    assert len(kept) == len(lines) - 1
+    rest.write_text("".join(kept))
+
+    def no_kernel(*args):
+        raise AssertionError("exact kernel reached")
+
+    for mod, name in ((trunclog_mod, "x_of"), (trunclog_mod, "resultant_exact"),
+                      (poly_mod, "_all_ones_residues")):
+        monkeypatch.setattr(mod, name, no_kernel)
+    report = verify_file(rest)
+    assert report.total == 1207 and report.ok
+    assert report.routes["split_theorem"][0] > 0

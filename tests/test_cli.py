@@ -192,7 +192,7 @@ def test_verify_refuses_an_oversized_integer_before_converting_it(tmp_path, caps
     assert code == 3 and elapsed < 1
     assert "line 1: malformed: field ell is not a canonical decimal of at most 4300 digits" in out
     assert "line 2: malformed: an integer is not a canonical decimal" in out
-    assert "n=33: INVALID" in out and "below 2^64" in out
+    assert "n=33: INVALID" in out and "below 2^31" in out
     assert "checked 3 records: 2 malformed, 1 invalid" in out
     assert resumed == 2 and "corrupt record on byte 0" in err
 
@@ -327,5 +327,5 @@ def test_verify_witness_modulus_above_two_to_the_64_exits_three(tmp_path, capsys
     }) + "\n")
     t0 = time.perf_counter()
     code, out, _ = run(capsys, "verify", str(tampered))
-    assert code == 3 and "n=33: INVALID" in out and "below 2^64" in out
+    assert code == 3 and "n=33: INVALID" in out and "below 2^31" in out
     assert time.perf_counter() - t0 < 5

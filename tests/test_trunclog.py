@@ -20,6 +20,7 @@ from logdisc.arith import (
     next_prime,
     primes_upto,
 )
+from logdisc.certify import Certificate, verify_certificate
 from logdisc.poly import normalize, psi_poly, resultant_prs
 from logdisc.trunclog import (
     _reduced_coeffs_mod,
@@ -395,7 +396,8 @@ def test_predicted_split_residue():
 def test_split_residue_vanishes_exactly_on_the_exceptional_set():
     # classify takes the split route whenever q is outside E_m, without
     # evaluating the residue; that is sound because the closed form is
-    # zero exactly on E_m
+    # zero exactly on E_m.  The verifier never consults E_m, and its
+    # P_n mod q check gives the same verdict
     checked = exceptional = 0
     for n in range(5, 3001, 4):
         fac = factorize(n)
@@ -405,6 +407,7 @@ def test_split_residue_vanishes_exactly_on_the_exceptional_set():
             continue
         in_e = in_exceptional_set(m, q)
         assert (predicted_split_residue(m, q) == 0) == in_e, (m, q)
+        assert verify_certificate(n, Certificate("split_theorem", m=m, q=q)) == (not in_e), (m, q)
         checked += 1
         exceptional += in_e
     assert (checked, exceptional) == (396, 14)
