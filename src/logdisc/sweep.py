@@ -182,25 +182,22 @@ def _parse_record(line: str) -> tuple[dict, Certificate]:
 def scan_sweep_file(path: Path) -> tuple[dict[int, str], int]:
     """Existing records as {n: status}, plus the byte length of the
     valid prefix.  A partial trailing line (interrupted writer) is not
-    an error: resume truncates it.  Corruption elsewhere is."""
+    an error: resume truncates it.  Corruption or a repeated n is."""
     done: dict[int, str] = {}
     keep = 0
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
-    while pos < len(data):
-        nl = data.find(b"\n", pos)
-        if nl < 0:
-            break  # partial trailing line, dropped on resume
-        line = data[pos : nl + 1]
-        if line.strip():
-            try:
-                rec, _ = _parse_record(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise SweepFileError(f"{path}: corrupt record on byte {pos}: {exc}") from exc
-            done[rec["n"]] = rec["status"]
-        pos = nl + 1
-        keep = pos
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break  # partial trailing line, dropped on resume
+            if line.strip():
+                try:
+                    rec, _ = _parse_record(line.decode("utf-8"))
+                    if rec["n"] in done:
+                        raise ValueError(f"duplicate record for n={rec['n']}")
+                except (ValueError, UnicodeDecodeError) as exc:
+                    raise SweepFileError(f"{path}: corrupt record on byte {keep}: {exc}") from exc
+                done[rec["n"]] = rec["status"]
+            keep += len(line)
     return done, keep
 
 

@@ -8,18 +8,20 @@ whose derivative is 1 + x + ... + x^(n-1).  Its discriminant factors as
 
     disc F_n = (-1)^(n(n-1)/2) * (n / L^(n-1)) * P_n,
 
-where L = lcm(1..n), P_n = Res(1 + x + ... + x^(n-1), A_n) is an
-integer resultant, and A_n is the reduced remainder of L * F_n modulo
-the derivative:
+where L = lcm(1..n) and P_n = Res(1 + x + ... + x^(n-1), L * F_n) is an
+integer resultant.  The roots of the derivative are the nontrivial n-th
+roots of unity, where L * F_n agrees with its reduced remainder
 
     A_n = a_0 + a_1 x + ... + a_(n-2) x^(n-2),
     a_0 = L + L/n - L/(n-1),
-    a_k = L/k - L/(n-1)        (1 <= k <= n-2).
+    a_k = L/k - L/(n-1)        (1 <= k <= n-2),
 
-The congruence certificates are built on exact or modular evaluations
-of these objects.  The witness search is not: its disc F_n mod ell comes
-from F_n itself, as sign * n * Res(F_n', F_n), with no L or A_n (see
-disc_mod_dft).
+so P_n = Res(1 + x + ... + x^(n-1), A_n) as well.  The exact route
+evaluates L * F_n (f_tilde) folded mod x^n - 1.  A_n is built only mod a
+prime ell, for p_n_mod's Euclid, which also runs at primes ell <= n,
+where 1/k mod ell does not exist and L * F_n has no row of inverses.
+The witness search takes disc F_n mod ell from F_n itself, as
+sign * n * Res(F_n', F_n), with no L or A_n (see disc_mod_dft).
 """
 
 from __future__ import annotations
@@ -61,18 +63,6 @@ def disc_sign(n: int) -> int:
     return -1 if (n * (n - 1) // 2) & 1 else 1
 
 
-def reduced_coeffs(n: int) -> list[int]:
-    """Coefficients of A_n, ascending; every division here is exact and
-    the top coefficient is never 0."""
-    if n < 2:
-        raise ValueError(f"reduced_coeffs requires n >= 2, got {n}")
-    L = lcm_upto(n)
-    last = L // (n - 1)
-    a = [L + L // n - last]
-    a.extend(L // k - last for k in range(1, n - 1))
-    return a
-
-
 def f_tilde(n: int) -> list[int]:
     """Integer coefficients of L * F_n, ascending degree."""
     if n < 1:
@@ -82,10 +72,10 @@ def f_tilde(n: int) -> list[int]:
 
 
 def p_n_exact(n: int) -> int:
-    """The integer resultant P_n = Res(1 + x + ... + x^(n-1), A_n)."""
+    """The integer resultant P_n = Res(1 + x + ... + x^(n-1), L * F_n)."""
     if n < 2:
         raise ValueError(f"p_n_exact requires n >= 2, got {n}")
-    return resultant_exact(n, reduced_coeffs(n))
+    return resultant_exact(n, f_tilde(n))
 
 
 def _lcm_mod(n: int, mod: int, skip: int = 0) -> int:
@@ -210,16 +200,17 @@ def disc_mod_dft(n: int, ell: int) -> int:
 
 @lru_cache(maxsize=None)
 def x_of(m: int) -> Fraction:
-    """X(m) = Res(1 + x + ... + x^(m-1), G_m) / L_m^(m-1), where G_m is
-    the degree-(m-1) polynomial L_m * (1/m + x + x^2/2 + ... + x^(m-1)/(m-1)).
+    """X(m) = Res(1 + x + ... + x^(m-1), L_m * (F_m - 1)) / L_m^(m-1).
 
-    This is the cofactor profile entering the split-parameter residue
-    prediction; X(2) = -1/2.
+    Folded mod x^m - 1, the row L_m * (F_m - 1) is
+    G_m = L_m * (1/m + x + x^2/2 + ... + x^(m-1)/(m-1)).  This is the
+    cofactor profile entering the split-parameter residue prediction;
+    X(2) = -1/2.
     """
     if m < 2:
         raise ValueError(f"x_of requires m >= 2, got {m}")
     L = lcm_upto(m)
-    r = resultant_exact(m, [L // m] + [L // j for j in range(1, m)])
+    r = resultant_exact(m, [0] + f_tilde(m)[1:])
     return Fraction(r, L ** (m - 1))
 
 
@@ -238,7 +229,7 @@ def exceptional_set(m: int) -> XYProfile:
     for num in (abs(x.numerator), y.numerator):
         if num > 1:
             candidates.update(factorize(num, DEFAULT_RHO_BUDGET))
-    exc = sorted(ell for ell in candidates if ell > m and m * ell % 4 == 1)
+    exc = sorted(ell for ell in candidates if in_exceptional_set(m, ell))
     return XYProfile(m=m, x=x, y=y, exceptional=tuple(exc))
 
 

@@ -124,6 +124,19 @@ def test_sweep_and_verify_cycle(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "--from", "2", "--to", "40",
                        "--out", str(out_path), "--resume")
     assert code == 0 and "skipped 39" in out
+    # a repeated n: verify reports it, and resume refuses the file as it stands
+    with open(out_path, "rb+") as fh:
+        dup = next(line for line in fh if json.loads(line)["n"] == 4)
+        fh.seek(0, os.SEEK_END)
+        fh.write(dup)
+    before = out_path.read_bytes()
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == 3 and "line 40: malformed: duplicate record for n=4" in out
+    code, out, err = run(capsys, "sweep", "--from", "2", "--to", "42", "--out", str(out_path),
+                         "--resume")
+    offset = len(before) - len(dup)
+    assert code == 2 and f"corrupt record on byte {offset}: duplicate record for n=4" in err
+    assert out_path.read_bytes() == before
 
 
 def test_verify_reports_a_non_utf8_line_as_malformed(tmp_path, capsys):

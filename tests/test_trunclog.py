@@ -35,7 +35,6 @@ from logdisc.trunclog import (
     in_exceptional_set,
     p_n_exact,
     p_n_mod,
-    reduced_coeffs,
     x_of,
 )
 
@@ -82,25 +81,29 @@ ORACLE_X = {
     9: Fraction(306236856729921117043081411, 1626313721561225625600000000),
     10: Fraction(-734985617173200541406921612347, 4098310578334288576512000000000),
 }
+# A_n mod this prime is A_n itself for n <= 42: every coefficient is
+# below 2L <= 2 lcm(1..42) < 2^59
+M61 = (1 << 61) - 1
 
 
 def test_reduced_coeffs_small():
-    assert reduced_coeffs(2) == [1]
-    assert reduced_coeffs(3) == [5, 3]
-    assert reduced_coeffs(9)[0] == 2520 + 280 - 315
+    assert _reduced_coeffs_mod(2, M61) == [1]
+    assert _reduced_coeffs_mod(3, M61) == [5, 3]
+    assert _reduced_coeffs_mod(9, M61)[0] == 2520 + 280 - 315
     with pytest.raises(ValueError):
-        reduced_coeffs(1)
+        p_n_mod(1, M61)
 
 
 def test_reduced_coeffs_divisions_exact():
     for n in range(2, 60):
-        a = reduced_coeffs(n)
+        a = _reduced_coeffs_mod(n, M61)
         L = lcm_upto(n)
         assert len(a) == n - 1 and a[-1] != 0
         # direct identity: a_0 = L + L/n - L/(n-1), a_k = L/k - L/(n-1)
-        assert a[0] == L + L // n - L // (n - 1)
-        for k in range(1, n - 1):
-            assert a[k] == L // k - L // (n - 1)
+        want = [L + L // n - L // (n - 1)] + [L // k - L // (n - 1) for k in range(1, n - 1)]
+        assert a == [c % M61 for c in want]
+        if n <= 42:
+            assert a == want
 
 
 def test_f_tilde():
@@ -117,7 +120,7 @@ def test_reduction_identity():
         L = lcm_upto(n)
         quotient = [L // (n - 1) - L // n, L // n]
         lhs = f_tilde(n)
-        a = reduced_coeffs(n)
+        a = _reduced_coeffs_mod(n, M61)
         prod = poly_mul(psi_poly(n), quotient)
         rhs = [c + (a[i] if i < len(a) else 0) for i, c in enumerate(prod)]
         assert normalize(rhs) == normalize(lhs), n
@@ -148,9 +151,13 @@ def test_p_n_mod_matches_exact():
 @pytest.mark.parametrize("n", list(range(2, 41)) + [64, 243, 1000, 1024])
 def test_reduced_coeffs_mod_matches_exact(n):
     # every prime ell <= n + 5, so ell > n, ell^E > 1 and ell | n all
-    # occur, ell = 2 among them, and two primes near 2^61
-    exact = reduced_coeffs(n)
-    for ell in primes_upto(n + 5) + [(1 << 61) - 1, 2305843009212694027]:
+    # occur, ell = 2 among them, and two primes near 2^61.  A_n is L * F_n
+    # reduced mod Psi_n: x^n = 1, then x^(n-1) = -(1 + x + ... + x^(n-2))
+    exact = f_tilde(n)
+    exact[0] += exact.pop()
+    top = exact.pop()
+    exact = [c - top for c in exact]
+    for ell in primes_upto(n + 5) + [M61, 2305843009212694027]:
         assert _reduced_coeffs_mod(n, ell) == [c % ell for c in exact], (n, ell)
 
 
@@ -271,8 +278,8 @@ def test_disc_is_sign_n_res_of_derivative_and_c():
 
 
 def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
-    # neither A_n, nor its limb table, nor L mod ell: the witness rows
-    # are inverses mod ell alone, and they take no Fermat power
+    # neither L * F_n, nor its limb table, nor L mod ell (so no A_n mod
+    # ell): the witness rows are inverses mod ell alone, with no Fermat power
     import logdisc.poly as poly
     import logdisc.trunclog as trunclog
 
@@ -283,7 +290,7 @@ def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
         raise AssertionError("a forbidden path ran")
 
     assert not hasattr(trunclog, "_pow_mod")
-    for module, name in ((trunclog, "reduced_coeffs"), (trunclog, "_lcm_mod"), (poly, "_residue_table"),
+    for module, name in ((trunclog, "f_tilde"), (trunclog, "_lcm_mod"), (poly, "_residue_table"),
                          (poly, "_pow_mod")):
         monkeypatch.setattr(module, name, forbidden)
     assert [disc_mod_dft(333, ell) for ell in ells] == want
