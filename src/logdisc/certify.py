@@ -10,16 +10,20 @@ claim from scratch.  Routes, in the order tried:
   * n = p^e, e odd            odd valuation at p
   * n = m*q, prime q > m      split congruence forces odd valuation,
                               unless q lands in the exceptional set E_m
+  * p^e || n, e odd           odd valuation at p, if P_n mod p != 0,
+                              tried over such p, largest first
   * otherwise                 quadratic non-residue witness search;
                               unresolved if no witness turns up within
                               max_witness_attempts primes
 
-The producer runs no Euclid: theorem routes are chosen from the shape
-of n, and witnesses are primes ell = 1 (mod n), where a DFT over the
-n-th roots of unity gives disc F_n mod ell straight from the
-coefficients of F_n.  verify_failure checks the three valuation routes
-by one rule (prime r, odd frame valuation, P_n mod r nonzero by Euclid),
-never consults E_m, and takes a witness at any prime n < ell < 2^31.
+The producer runs no Euclid of degree n: theorem routes are chosen from
+the shape of n, the divisor route runs one small resultant
+(trunclog.p_n_mod_at_divisor), and witnesses are primes ell = 1 (mod n),
+where a DFT over the n-th roots of unity gives disc F_n mod ell straight
+from the coefficients of F_n.  verify_failure checks the four valuation
+routes by one rule (prime r, odd frame valuation, P_n mod r nonzero by
+its own dense Euclid), never consults E_m, and takes a witness at any
+prime n < ell < 2^31.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from itertools import islice
 from .arith import factorize, is_prime, is_rational_square, legendre_symbol, next_prime
 from .poly import _NP_MAX_MOD
 from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, in_exceptional_set, p_n_mod
+from .trunclog import p_n_mod_at_divisor
 
 # fields that must be present (not None) for each kind; all others None
 _REQUIRED_FIELDS = {
@@ -38,6 +43,7 @@ _REQUIRED_FIELDS = {
     "odd_valuation": ("ell",),
     "odd_prime_power_valuation": ("p", "e"),
     "split_theorem": ("m", "q"),
+    "divisor_valuation": ("p", "e"),
     "non_residue_witness": ("ell", "residue"),
     "exact_non_square": (),
     "counterexample": (),
@@ -107,6 +113,7 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
 
     Theorem routes are chosen from the shape of n alone: their congruences
     keep P_n a unit at the route's prime, and verify_failure rechecks it.
+    The divisor route evaluates P_n mod p before it claims a unit.
     """
     cfg = config or ClassifyConfig()
     if n < 1:
@@ -135,6 +142,9 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
         m = n // q
         if q > m and not in_exceptional_set(m, q):
             return Certificate("split_theorem", m=m, q=q)
+    for p in sorted((p for p, e in fac.items() if e & 1), reverse=True):
+        if p_n_mod_at_divisor(n, p):
+            return Certificate("divisor_valuation", p=p, e=fac[p])
 
     found = witness_search(n, cfg.max_witness_attempts)
     if found is not None:
@@ -211,6 +221,13 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
             return f"n != {r}^{e}"
         if n % 4 != 1:
             return "prime power route needs n = 1 (mod 4)"
+    elif kind == "divisor_valuation":
+        r, e = cert.p, cert.e
+        # the same bounds before the power; an even e fails the frame check
+        if not (2 <= r <= n and 1 <= e <= n.bit_length()) or n % r**e or n // r**e % r == 0:
+            return f"{r}^{e} does not exactly divide n"
+        if n % 4 != 1:
+            return "divisor route needs n = 1 (mod 4)"
     else:  # split_theorem
         m, r = cert.m, cert.q
         if m < 2 or m * r != n or n % 4 != 1:

@@ -202,17 +202,21 @@ def cmd_dispatch(argv: list[str]) -> int:
         return 1
     except SystemExit as exc:  # --help lands here with code 0
         return int(exc.code or 0)
+    # P_n for n in the hundreds has tens of thousands of digits; printing
+    # them must not trip the interpreter's int-to-str guard, which is the
+    # caller's again on return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, FactorizationBudgetError, SweepFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:
-    # P_n for n in the hundreds has tens of thousands of digits; printing
-    # them must not trip the interpreter's int-to-str guard
-    sys.set_int_max_str_digits(0)
     raise SystemExit(cmd_dispatch(sys.argv[1:]))
 
 

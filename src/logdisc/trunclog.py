@@ -120,6 +120,26 @@ def p_n_mod(n: int, ell: int) -> int:
     return resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
 
 
+def p_n_mod_at_divisor(n: int, p: int) -> int:
+    """P_n mod a prime p | n by a resultant of degree <= max(n' - 1, (n - 2) // s).
+
+    Mod p, with s = p^floor(log_p n) and U = L/s, A_n = B(x^s) for
+    B(y) = (U/(n/s) if s | n else 0) + sum_(1 <= j <= (n-2)/s) (U/j) y^j.
+    x^n - 1 = (x^n' - 1)^(p^v) with n' = n / p^v, v = v_p(n), and y -> y^s
+    permutes the n'-th roots of unity: P_n = Res(psi_n', B) if B(1) != 0, else 0.
+    """
+    if n < 2 or n % p:
+        raise ValueError(f"p_n_mod_at_divisor requires a prime divisor of n >= 2, got {p} for n = {n}")
+    s = p ** floor_log(p, n)
+    n1 = n // p ** int_valuation(n, p)
+    U = _lcm_mod(n, p, skip=p)
+    B = [U * pow(n // s, -1, p) % p if n % s == 0 else 0]
+    B += [U * pow(j, -1, p) % p for j in range(1, (n - 2) // s + 1)]
+    if sum(B) % p == 0:
+        return 0
+    return resultant_mod_p(psi_poly(n1), B, p) if n1 > 1 else 1
+
+
 def frame_valuation(n: int, p: int) -> int:
     """The valuation of n / L^(n-1) at a prime p <= n."""
     return int_valuation(n, p) - (n - 1) * floor_log(p, n)

@@ -121,15 +121,19 @@ def test_classify_routing():
     assert classify(21) == Certificate("split_theorem", m=3, q=7)
     assert classify(205) == Certificate("split_theorem", m=5, q=41)
     assert classify(221) == Certificate("split_theorem", m=13, q=17)
-    # 33 = 3*11 but 11 is exceptional for m = 3: witness route
-    assert classify(33) == Certificate("non_residue_witness", ell=199, residue=39)
-    # 505 = 5*101 with 101 exceptional for m = 5
+    # 33 = 3*11 but 11 is exceptional for m = 3, so P_33 = 0 (mod 11); the
+    # divisor route goes on to 3
+    assert classify(33) == Certificate("divisor_valuation", p=3, e=1)
+    # 505 = 5*101 with 101 exceptional for m = 5, and P_505 = 0 (mod 5)
+    # as well: witness route
     assert classify(505) == Certificate("non_residue_witness", ell=5051, residue=1018)
     # even prime power exponent gives no parity: witness route
     assert classify(25).kind == "non_residue_witness"
     assert classify(625).kind == "non_residue_witness"
-    # largest prime factor below its cofactor: split hypotheses fail
-    assert classify(165).kind == "non_residue_witness"  # 165 = 3*5*11, q=11 < m=15
+    # largest prime factor below its cofactor: split hypotheses fail, and
+    # the divisor route takes the largest odd-exponent prime
+    assert classify(165) == Certificate("divisor_valuation", p=11, e=1)  # 165 = 3*5*11
+    assert classify(1197) == Certificate("divisor_valuation", p=19, e=1)  # 1197 = 3^2*7*19
 
 
 def test_classify_rejects_bad_n():
@@ -162,17 +166,20 @@ def test_classify_unresolved_when_starved(monkeypatch):
 
 def test_classify_evaluates_no_theorem_residue(monkeypatch):
     # the theorem routes are chosen from the shape of n alone: with L mod
-    # ell unavailable, classify still gives every certificate of the
-    # range-sweep window (the split route reads E_m membership only)
+    # ell unavailable, classify still gives every theorem certificate of
+    # the range-sweep window (the split route reads E_m membership only);
+    # the divisor route evaluates P_n mod p by design, through L/s mod p
     import logdisc.trunclog as trunclog_mod
 
-    want = [classify(n) for n in range(2, 1210)]
+    theorem = ("negative_sign", "odd_valuation", "odd_prime_power_valuation", "split_theorem")
+    want = {n: cert for n in range(2, 1210) if (cert := classify(n)).kind in theorem}
+    assert len(want) == 1140
 
     def forbidden(*args, **kwargs):
         raise AssertionError("closed-form residue evaluated")
 
     monkeypatch.setattr(trunclog_mod, "_lcm_mod", forbidden)
-    assert [classify(n) for n in range(2, 1210)] == want
+    assert {n: classify(n) for n in want} == want
 
 
 def test_round_trip_2_to_300():
@@ -241,6 +248,9 @@ def _claim_holds(n, cert):
         prime, shape = cert.p, n % 4 == 1 and cert.p**cert.e == n
     elif cert.kind == "split_theorem":
         prime, shape = cert.q, n % 4 == 1 and cert.m * cert.q == n and 2 <= cert.m < cert.q
+    elif cert.kind == "divisor_valuation":
+        p, e = cert.p, cert.e
+        prime, shape = p, n % 4 == 1 and p >= 2 and e >= 1 and n % p**e == 0 and n // p**e % p != 0
     else:
         raise AssertionError(f"no integer fields on {cert.kind}")
     return shape and sympy.isprime(prime) and rat_valuation(_exact_disc(n), prime) % 2 == 1
@@ -263,6 +273,47 @@ def test_verify_accepts_no_tampered_certificate_with_a_false_claim():
                     accepted += 1
                     assert _claim_holds(n, mutant), (n, mutant)
     assert mutants > 1500 and accepted > 0
+
+
+def test_verify_rejects_tampered_divisor_records():
+    ok = Certificate("divisor_valuation", p=5, e=1)
+    assert classify(45) == ok and verify_failure(45, ok) is None
+    assert verify_failure(45, Certificate("divisor_valuation", p=3, e=2)) == (
+        "frame valuation at 3 is even")  # 3^2 || 45, but e is even
+    assert verify_failure(45, Certificate("divisor_valuation", p=7, e=1)) == (
+        "7^1 does not exactly divide n")
+    assert verify_failure(45, Certificate("divisor_valuation", p=3, e=1)) == (
+        "3^1 does not exactly divide n")  # 3^2 | 45
+    assert verify_failure(45, Certificate("divisor_valuation", p=15, e=1)) == "15 is not prime"
+    assert verify_failure(333, Certificate("divisor_valuation", p=37, e=1)) == (
+        "P_333 vanishes mod 37")
+    assert verify_failure(35, Certificate("divisor_valuation", p=5, e=1)) == (
+        "divisor route needs n = 1 (mod 4)")
+    for stray in ({"m": 9}, {"q": 5}):
+        assert verify_failure(45, dataclasses.replace(ok, **stray)) == (
+            f"divisor_valuation certificate carries stray field {next(iter(stray))}")
+    assert verify_failure(45, Certificate("divisor_valuation", p=5)) == (
+        "divisor_valuation certificate missing field e")
+
+
+def test_verify_divisor_route_bounds_e_before_the_power():
+    class NoPower(int):
+        def __pow__(self, other, mod=None):
+            raise AssertionError("p**e evaluated")
+
+    for e in (10**7, 10**100, 0, -1):
+        reason = verify_failure(45, Certificate("divisor_valuation", p=NoPower(5), e=e))
+        assert reason == f"5^{e} does not exactly divide n"
+    for p in (46, 1, 0, -3):
+        assert verify_failure(45, Certificate("divisor_valuation", p=p, e=1)) is not None
+
+
+def test_witness_records_of_divisor_route_n_still_verify():
+    # the witnesses witness_search gave before the divisor route took
+    # these n, as older sweep files hold them
+    for n, ell, res in ((33, 199, 39), (45, 271, 173), (165, 1321, 518), (1197, 43093, 37167)):
+        assert classify(n).kind == "divisor_valuation"
+        assert verify_failure(n, Certificate("non_residue_witness", ell=ell, residue=res)) is None
 
 
 def test_verify_route_hypotheses():

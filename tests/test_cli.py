@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -55,7 +56,20 @@ def test_classify_json(capsys):
     rec = json.loads(out)
     assert rec["n"] == 33
     assert rec["status"] == "certified"
-    assert rec["certificate"] == {"type": "non_residue_witness", "ell": "199", "residue": "39"}
+    assert rec["certificate"] == {"type": "divisor_valuation", "p": "3", "e": "1"}
+    code, out, _ = run(capsys, "classify", "505")
+    assert code == 0
+    assert json.loads(out)["certificate"] == {"type": "non_residue_witness", "ell": "5051",
+                                              "residue": "1018"}
+
+
+def test_pn_333_lifts_the_digit_limit_for_the_call_only(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "pn", "333")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "61d62ebe81a50feff9292aca83daedf06aeea8965ba1d21d1c7187bdb85ecdf3")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_classify_unresolved_exit_code(capsys):
@@ -192,16 +206,12 @@ def test_verify_refuses_an_oversized_integer_before_converting_it(tmp_path, caps
     ]
     path = tmp_path / "big.jsonl"
     path.write_text("".join((x if isinstance(x, str) else json.dumps(x)) + "\n" for x in lines))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # as cli.main does
-    try:
-        t0 = time.perf_counter()
-        code, out, _ = run(capsys, "verify", str(path))
-        elapsed = time.perf_counter() - t0
-        resumed, _, err = run(capsys, "sweep", "--from", "2", "--to", "3", "--out", str(path),
-                              "--resume")
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # cmd_dispatch lifts the interpreter's digit limit while it runs
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path))
+    elapsed = time.perf_counter() - t0
+    resumed, _, err = run(capsys, "sweep", "--from", "2", "--to", "3", "--out", str(path),
+                          "--resume")
     assert code == 3 and elapsed < 1
     assert "line 1: malformed: field ell is not a canonical decimal of at most 4300 digits" in out
     assert "line 2: malformed: an integer is not a canonical decimal" in out
@@ -235,7 +245,7 @@ def without_seconds(out):
 
 
 def test_verify_jobs_reports_as_one_job(tmp_path, capsys):
-    from logdisc.certify import classify
+    from logdisc.certify import Certificate, witness_search
     from logdisc.sweep import certificate_to_json
 
     out_path = tmp_path / "s.jsonl"
@@ -245,8 +255,8 @@ def test_verify_jobs_reports_as_one_job(tmp_path, capsys):
     assert [recs[i]["certificate"]["type"] for i in (2, 10)] == ["exact_non_square", "odd_valuation"]
     # a false witness claim at n = 4005 comes first: its check takes far
     # longer than any other here, so a pool finishes later records first
-    cert = certificate_to_json(classify(4005))
-    cert["residue"] = str(int(cert["residue"]) + 1)
+    ell, res = witness_search(4005, 50)
+    cert = certificate_to_json(Certificate("non_residue_witness", ell=ell, residue=res + 1))
     slow = {"n": 4005, "status": "certified", "certificate": cert}
     recs[2]["status"] = "counterexample"  # n = 4: a false claim
     recs[2]["certificate"] = {"type": "counterexample"}
@@ -319,6 +329,28 @@ def test_verify_tampered_witness_at_n1_exits_three(tmp_path, capsys):
     }) + "\n")
     code, out, _ = run(capsys, "verify", str(tampered))
     assert code == 3 and "n=1: INVALID" in out
+
+
+def test_verify_tampered_divisor_records_exit_three(tmp_path, capsys):
+    out_path = tmp_path / "s.jsonl"
+    assert run(capsys, "sweep", "--from", "40", "--to", "50", "--out", str(out_path))[0] == 0
+    recs = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert recs[5]["n"] == 45 and recs[5]["certificate"] == {"type": "divisor_valuation",
+                                                             "p": "5", "e": "1"}
+    code, out, _ = run(capsys, "verify", str(out_path))
+    assert code == 0 and "route divisor_valuation: 1 records, " in out
+    tampered = [
+        (45, {"p": "3", "e": "2"}, "frame valuation at 3 is even"),
+        (45, {"p": "3", "e": "1"}, "3^1 does not exactly divide n"),
+        (45, {"p": "5", "e": "1", "m": "9"}, "carries stray field m"),
+        (333, {"p": "37", "e": "1"}, "P_333 vanishes mod 37"),
+        (35, {"p": "5", "e": "1"}, "needs n = 1 (mod 4)"),
+    ]
+    for n, fields, reason in tampered:
+        rec = {"n": n, "status": "certified", "certificate": {"type": "divisor_valuation", **fields}}
+        out_path.write_text("".join(json.dumps(r) + "\n" for r in recs[:5] + [rec]))
+        code, out, _ = run(capsys, "verify", str(out_path))
+        assert code == 3 and f"n={n}: INVALID: " in out and reason in out, (n, fields, out)
 
 
 def test_sweep_odd_squares_filter(tmp_path, capsys):

@@ -201,8 +201,9 @@ def test_run_sweep_bounds_work_in_flight(tmp_path, monkeypatch):
 
 def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
     # the range-sweep benchmark's window: every record verifies, and
-    # every certificate off the witness route is byte for byte the one
-    # the euclidean producer wrote
+    # every certificate off the witness and divisor routes is byte for
+    # byte the one the euclidean producer wrote; the divisor route took
+    # 46 of the window's 66 witness n
     out = tmp_path / "sweep.jsonl"
     summary = run_sweep(SweepConfig(2, 1201, out=str(out)))
     report = verify_file(out)
@@ -210,10 +211,11 @@ def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert Counter(r["certificate"]["type"] for r in records) == {
         "negative_sign": 600, "odd_valuation": 299, "split_theorem": 137,
-        "odd_prime_power_valuation": 97, "non_residue_witness": 66, "exact_non_square": 1,
+        "odd_prime_power_valuation": 97, "divisor_valuation": 46, "non_residue_witness": 20,
+        "exact_non_square": 1,
     }
     kept = sorted((r["n"], json.dumps(r["certificate"], sort_keys=True)) for r in records
-                  if r["certificate"]["type"] != "non_residue_witness")
+                  if r["certificate"]["type"] not in ("non_residue_witness", "divisor_valuation"))
     digest = hashlib.sha256("".join(f"{n} {c}\n" for n, c in kept).encode()).hexdigest()
     assert digest == "dc474514f2da9366b5b872a8ec9ae15d4f518b251a2e11272e1d1b90d7c3a295"
 

@@ -35,6 +35,7 @@ from logdisc.trunclog import (
     in_exceptional_set,
     p_n_exact,
     p_n_mod,
+    p_n_mod_at_divisor,
     x_of,
 )
 
@@ -164,6 +165,54 @@ def test_reduced_coeffs_mod_matches_exact(n):
 def test_p_n_mod_rejects_composite_modulus():
     with pytest.raises(ValueError):
         p_n_mod(10, 9)
+
+
+# n = 1 (mod 4) below 3000 against every prime p | n.  The examples hold
+# p = 3 with p^2 | n (45 = 3^2 * 5, 225), n = p^e so that n' = 1 (9, 125),
+# B(1) = 0 while Res(psi_n', B) != 0 (21 at p = 3, 33 at p = 11),
+# P_333 = 0 (mod 37), and 2997 = 3^4 * 37 near the top of the range
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 749).map(lambda k: 4 * k + 1))
+@example(9)
+@example(21)
+@example(33)
+@example(45)
+@example(125)
+@example(225)
+@example(333)
+@example(2997)
+def test_p_n_mod_at_divisor_matches_p_n_mod(n):
+    for p in factorize(n):
+        assert p_n_mod_at_divisor(n, p) == p_n_mod(n, p), (n, p)
+
+
+def test_p_n_mod_at_divisor_pinned():
+    assert p_n_mod_at_divisor(21, 3) == 0  # B(1) = 0 with Res(psi_7, B) = 1
+    assert p_n_mod_at_divisor(333, 37) == 0
+    assert p_n_mod_at_divisor(1197, 19) == p_n_mod(1197, 19) != 0
+    with pytest.raises(ValueError):
+        p_n_mod_at_divisor(45, 7)
+
+
+def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
+    # B has (n - 2) // p^floor(log_p n) + 1 terms: neither A_n mod p nor
+    # psi_n is built, and the Euclid runs on (psi_n', B)
+    import logdisc.trunclog as trunclog
+
+    seen = []
+    real = trunclog.resultant_mod_p
+
+    def recording(f, g, p):
+        seen.append((len(f), len(g)))
+        return real(f, g, p)
+
+    def forbidden(*args):
+        raise AssertionError("A_n mod p built")
+
+    monkeypatch.setattr(trunclog, "resultant_mod_p", recording)
+    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", forbidden)
+    assert p_n_mod_at_divisor(9993, 3331) != 0  # 9993 = 3 * 3331
+    assert seen == [(3, 3)]
 
 
 def test_disc_sign_rule():
