@@ -171,25 +171,6 @@ def _pow_mod(base: np.ndarray, e, P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_mod(a: np.ndarray, m) -> np.ndarray:
-    """a^-1 mod m elementwise, for int64 residues 0 <= a < m, m an int or
-    an array: the extended Euclid on every pair at once, by half steps
-    r_i -= q r_j that leave a pair alone once a remainder is 0.  The
-    value is meaningless where gcd(a, m) != 1."""
-    r = [np.broadcast_to(m, a.shape).astype(np.int64), a.copy()]  # r_i = t_i a (mod m)
-    t = [np.zeros_like(a), np.ones_like(a)]
-    q = np.empty_like(a)
-    i = 0
-    while True:
-        q.fill(0)
-        np.floor_divide(r[i], r[1 - i], out=q, where=r[1 - i] != 0)
-        if not q.any():
-            return (t[0] * r[0] + t[1] * r[1]) % m
-        r[i] -= q * r[1 - i]
-        t[i] -= q * t[1 - i]
-        i = 1 - i
-
-
 def _descending_primes_1_mod_n(n: int, top: int = _WORD_PRIME_TOP):
     """Primes p = 1 (mod n), max(n, 2) < p <= top, downward; may exhaust.
 
@@ -210,10 +191,9 @@ def _descending_primes_1_mod_n(n: int, top: int = _WORD_PRIME_TOP):
         return
     S = np.array(primes_upto(math.isqrt(c0)), dtype=np.int64)
     S = S[n % S != 0]
-    # n^-1 = (1 - s u) / n (mod s) for u = s^-1 (mod n), from a table over
-    # the classes mod n while there are fewer of them than sieving primes
-    R = S % n
-    U = _inverse_mod(np.arange(n, dtype=np.int64), n)[R] if n < len(S) else _inverse_mod(R, n)
+    # n^-1 = (1 - s u) / n (mod s) for u = s^-1 (mod n), one pow per class of s mod n
+    R, cls = np.unique(S % n, return_inverse=True)
+    U = np.array([pow(r, -1, n) for r in R.tolist()], dtype=np.int64)[cls]
     K = c0 % S * ((1 - S * U) // n % S) % S  # s | c_k iff k = K (mod s)
     lo, seg = 0, _SEGMENT_FIRST
     while lo < count:
