@@ -22,8 +22,9 @@ the shape of n, the divisor route runs one small resultant
 where a DFT over the n-th roots of unity gives disc F_n mod ell straight
 from the coefficients of F_n.  verify_failure checks the four valuation
 routes by one rule (prime r, odd frame valuation, P_n mod r nonzero by
-its own dense Euclid), never consults E_m, and takes a witness at any
-prime n < ell < 2^31.
+p_n_mod: at r | n the divisor lemma on its own row A_n mod r, sharing
+no code with p_n_mod_at_divisor), never consults E_m, and takes a
+witness at any prime n < ell < 2^31.
 """
 
 from __future__ import annotations

@@ -437,9 +437,10 @@ def _all_ones_residues(n: int, C: np.ndarray, P: np.ndarray) -> list[int]:
 def resultant_exact(n: int, g: list[int]) -> int:
     """Exact Res(1 + x + ... + x^(n-1), g), via CRT over word-size primes.
 
-    The roots are n-th roots of unity, where |g| <= sum |g_k|, so
-    (sum |g_k|)^(n-1) bounds |Res|.  Moduli are taken from one
-    descending prime sequence until their product exceeds twice that,
+    At the roots, the nontrivial n-th roots of unity, sum x^k = 0, so g
+    takes the values of sum_(k < n-1) (a_k - a_(n-1)) x^k for a = g mod x^n - 1, and
+    h^(n-1) bounds |Res| for h = sum |a_k - a_(n-1)|.  Moduli are taken
+    from one descending prime sequence until their product exceeds twice that,
     after which the symmetric residue is the exact integer.  The
     sequence is the primes p = 1 (mod n), whose residues come from
     _all_ones_residues on g mod x^n - 1, _BATCH primes at a time, then,
@@ -450,13 +451,13 @@ def resultant_exact(n: int, g: list[int]) -> int:
     """
     if n < 2:
         raise ValueError(f"resultant_exact requires n >= 2, got {n}")
-    g = normalize(g)
-    if not g:
-        return 0
-    target = 2 * sum(abs(c) for c in g) ** (n - 1)
     a = [0] * n  # g mod x^n - 1
     for i, c in enumerate(g):
         a[i % n] += c
+    h = sum(abs(c - a[-1]) for c in a[:-1])
+    if not h:
+        return 0
+    target = 2 * h ** (n - 1)
 
     primes = chain(_descending_primes_1_mod_n(n), (p for p in _descending_primes_1_mod_n(2) if p % n != 1))
     moduli: list[int] = []

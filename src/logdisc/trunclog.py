@@ -18,8 +18,9 @@ roots of unity, where L * F_n agrees with its reduced remainder
 
 so P_n = Res(1 + x + ... + x^(n-1), A_n) as well.  The exact route
 evaluates L * F_n (f_tilde) folded mod x^n - 1.  A_n is built only mod a
-prime ell, for p_n_mod's Euclid, which also runs at primes ell <= n,
-where 1/k mod ell does not exist and L * F_n has no row of inverses.
+prime ell, for p_n_mod, which also runs at primes ell <= n, where 1/k
+mod ell does not exist and L * F_n has no row of inverses; at ell | n
+it takes a small resultant of the row's stride (the divisor lemma).
 The witness search takes disc F_n mod ell from F_n itself, as
 sign * n * Res(F_n', F_n), with no L or A_n (see disc_mod_dft).
 """
@@ -112,12 +113,26 @@ def _reduced_coeffs_mod(n: int, ell: int) -> list[int]:
 
 
 def p_n_mod(n: int, ell: int) -> int:
-    """P_n mod ell for prime ell, with no big-integer intermediates."""
+    """P_n mod ell for prime ell, with no big-integer intermediates.
+
+    Euclid on (psi_n, A_n mod ell); at ell | n, the lemma of
+    p_n_mod_at_divisor on B = A_n[::s], once A_n mod ell = B(x^s) is checked.
+    """
     if n < 2:
         raise ValueError(f"p_n_mod requires n >= 2, got {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    return resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
+    A = _reduced_coeffs_mod(n, ell)
+    if n % ell:
+        return resultant_mod_p(psi_poly(n), A, ell)
+    s = ell ** floor_log(ell, n)
+    B = A[::s]
+    if len(A) - A.count(0) != len(B) - B.count(0):
+        raise ArithmeticError(f"A_{n} mod {ell} has a nonzero coefficient off the multiples of {s}")
+    n1 = n // ell ** int_valuation(n, ell)
+    if sum(B) % ell == 0:
+        return 0
+    return resultant_mod_p(psi_poly(n1), B, ell) if n1 > 1 else 1
 
 
 def p_n_mod_at_divisor(n: int, p: int) -> int:
@@ -184,13 +199,15 @@ def disc_from_definition(n: int) -> Fraction:
 
 
 def disc_mod(n: int, ell: int) -> int:
-    """disc F_n mod ell for a prime ell > n (so the frame is invertible)."""
-    if n < 2:
-        raise ValueError(f"disc_mod requires n >= 2, got {n}")
+    """disc F_n mod ell for a prime ell > n (so the frame is invertible); disc F_1 = 1."""
+    if n < 1:
+        raise ValueError(f"disc_mod requires n >= 1, got {n}")
     if ell <= n:
         raise ValueError(f"modulus too small: {ell} <= {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
+    if n == 1:
+        return 1
     frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
     return disc_sign(n) * frame * p_n_mod(n, ell) % ell
 

@@ -1,17 +1,17 @@
 """Helpers that only the tests need: polynomial product and evaluation,
-the p-adic valuation of a rational, and the paper's closed-form residues
-of P_n on the three theorem routes.
+the p-adic valuation of a rational, P_n mod ell by the dense Euclid,
+and the paper's closed-form residues of P_n on the three theorem routes.
 
 classify picks those routes from the shape of n without evaluating the
-residues; the tests check each formula against Euclid (p_n_mod) and
-that it is nonzero exactly where classify takes its route.
+residues; the tests check each formula against Euclid (dense_p_n_mod)
+and that it is nonzero exactly where classify takes its route.
 """
 
 from fractions import Fraction
 
 from logdisc.arith import harmonic, int_valuation, is_prime
-from logdisc.poly import normalize
-from logdisc.trunclog import _lcm_mod, x_of
+from logdisc.poly import normalize, psi_poly, resultant_mod_p
+from logdisc.trunclog import _lcm_mod, _reduced_coeffs_mod, x_of
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -30,6 +30,25 @@ def poly_eval(p: list, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def dense_p_n_mod(n: int, ell: int) -> int:
+    """P_n mod a prime ell by Euclid on (psi_n, A_n mod ell) at every ell,
+    ell | n included: the reference for p_n_mod's stride at ell | n."""
+    return resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
+
+
+def off_stride(reduced_coeffs_mod):
+    """reduced_coeffs_mod with a nonzero x^1 coefficient at ell | n, where
+    A_n mod ell must be a polynomial in x^s for s = ell^floor(log_ell n) >= 2."""
+
+    def corrupt(n: int, ell: int) -> list[int]:
+        A = reduced_coeffs_mod(n, ell)
+        if n % ell == 0:
+            A[1] = (A[1] + 1) % ell
+        return A
+
+    return corrupt
 
 
 def rat_valuation(r: Fraction, p: int) -> int:

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 from helpers import (
+    dense_p_n_mod,
     predicted_interval_residue,
     predicted_prime_power_residue,
     predicted_split_residue,
@@ -30,7 +31,6 @@ from logdisc.trunclog import (
     disc_mod,
     exceptional_set,
     p_n_exact,
-    p_n_mod,
 )
 
 # published factorization of P_21; the 80-digit prime is verified only
@@ -182,7 +182,7 @@ def test_criterion_6_theorem_congruences():
     ok_pp = True
     for n, p in ((9, 3), (25, 5), (49, 7), (81, 3), (121, 11), (125, 5), (169, 13)):
         e = int_valuation(n, p)
-        got = p_n_mod(n, p)
+        got = dense_p_n_mod(n, p)
         ok_pp &= got == predicted_prime_power_residue(p, e) and got != 0
 
     # valid pairs: q prime, q > m (gcd(q, m) = 1 then holds automatically)
@@ -190,14 +190,14 @@ def test_criterion_6_theorem_congruences():
     for m in range(2, 15):
         q = next_prime(m)
         while m * q <= 200:
-            ok_split &= p_n_mod(m * q, q) == predicted_split_residue(m, q)
+            ok_split &= dense_p_n_mod(m * q, q) == predicted_split_residue(m, q)
             q = next_prime(q)
 
     ok_interval = True
     for n in range(8, 101, 4):
         ell = bertrand_prime(n)
         want = (-pow(lcm_upto(n) // ell, n - 1, ell)) % ell
-        got = p_n_mod(n, ell)
+        got = dense_p_n_mod(n, ell)
         ok_interval &= got == want and got != 0 and predicted_interval_residue(n, ell) == want
 
     # the closed forms classify relies on, on every theorem-route n of
@@ -215,7 +215,7 @@ def test_criterion_6_theorem_congruences():
         else:
             continue
         routes[cert.kind] += 1
-        ok_routes &= want != 0 and p_n_mod(n, ell) == want
+        ok_routes &= want != 0 and dense_p_n_mod(n, ell) == want
 
     ok = (
         report("prime power residues match for n in {9,...,169}", ok_pp)

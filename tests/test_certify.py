@@ -422,9 +422,11 @@ def test_verify_witness_modulus_lies_below_two_to_the_31(monkeypatch):
 
 
 def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatch):
-    # the verifier shares no resultant code with the producer: past the
-    # one exact record (n = 4), a whole sweep verifies with the exact
-    # kernel and the X(m) behind E_m made to raise
+    # the verifier shares no exact kernel and no divisor-lemma code with
+    # the producer: past the one exact record (n = 4), a whole sweep
+    # verifies with the exact kernel, the X(m) behind E_m and the
+    # producer's p_n_mod_at_divisor made to raise
+    import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
     import logdisc.trunclog as trunclog_mod
 
@@ -436,11 +438,12 @@ def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatc
     rest.write_text("".join(kept))
 
     def no_kernel(*args):
-        raise AssertionError("exact kernel reached")
+        raise AssertionError("producer code reached")
 
     for mod, name in ((trunclog_mod, "x_of"), (trunclog_mod, "resultant_exact"),
-                      (poly_mod, "_all_ones_residues")):
+                      (poly_mod, "_all_ones_residues"), (trunclog_mod, "p_n_mod_at_divisor"),
+                      (certify_mod, "p_n_mod_at_divisor")):
         monkeypatch.setattr(mod, name, no_kernel)
     report = verify_file(rest)
     assert report.total == 1207 and report.ok
-    assert report.routes["split_theorem"][0] > 0
+    assert report.routes["split_theorem"][0] > 0 and report.routes["divisor_valuation"][0] > 0

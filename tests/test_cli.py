@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from helpers import off_stride
 from logdisc.cli import cmd_dispatch
 
 
@@ -25,6 +26,16 @@ def test_disc_exact(capsys):
 def test_disc_mod(capsys):
     code, out, _ = run(capsys, "disc", "333", "--mod", "337")
     assert code == 0 and out.strip() == "157"
+
+
+def test_disc_mod_of_the_linear_f1(capsys):
+    # disc F_1 = 1, as `disc 1` reports; the modulus checks still apply
+    code, out, _ = run(capsys, "disc", "1", "--mod", "3")
+    assert code == 0 and out.strip() == "1"
+    code, out, _ = run(capsys, "disc", "1")
+    assert code == 0 and "disc = 1" in out
+    assert run(capsys, "disc", "1", "--mod", "4")[0] == 2
+    assert run(capsys, "disc", "1", "--mod", "1")[0] == 2
 
 
 def test_disc_report(capsys):
@@ -351,6 +362,22 @@ def test_verify_tampered_divisor_records_exit_three(tmp_path, capsys):
         out_path.write_text("".join(json.dumps(r) + "\n" for r in recs[:5] + [rec]))
         code, out, _ = run(capsys, "verify", str(out_path))
         assert code == 3 and f"n={n}: INVALID: " in out and reason in out, (n, fields, out)
+
+
+def test_verify_exits_two_on_a_row_off_the_stride(tmp_path, capsys, monkeypatch):
+    # at p | n the verifier checks that A_n mod p is a polynomial in x^s;
+    # a row that is not is a computational failure, not a traceback
+    import logdisc.trunclog as trunclog
+
+    out_path = tmp_path / "s.jsonl"
+    out_path.write_text(json.dumps({
+        "n": 45, "status": "certified",
+        "certificate": {"type": "divisor_valuation", "p": "5", "e": "1"},
+    }) + "\n")
+    assert run(capsys, "verify", str(out_path))[0] == 0
+    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", off_stride(trunclog._reduced_coeffs_mod))
+    code, _, err = run(capsys, "verify", str(out_path))
+    assert code == 2 and "A_45 mod 5 has a nonzero coefficient off the multiples of 25" in err
 
 
 def test_sweep_odd_squares_filter(tmp_path, capsys):

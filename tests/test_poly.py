@@ -547,6 +547,26 @@ def test_resultant_exact_zero_detection():
     assert resultant_exact(6, poly_mul([1, 1, 1], [5, 7])) == 0
     assert resultant_exact(3, [1, 1, 1]) == 0
     assert resultant_exact(3, []) == 0
+    # rows that fold mod x^n - 1 to c * (1 + ... + x^(n-1)), c = 0 included
+    assert resultant_exact(5, [7] * 5) == 0
+    assert resultant_exact(3, [2, 2, 2, 5, 5, 5]) == 0
+    assert resultant_exact(4, [-3, 0, 0, 0, 3]) == 0
+
+
+def test_resultant_exact_sizes_its_crt_from_the_folded_row(monkeypatch):
+    # L * F_333 folded mod x^333 - 1 has a_k - a_332 = A_333's a_k, whose
+    # absolute sum needs 5,098 primes; the sum of |g_k| of the row as
+    # passed would need 5,101
+    counts = []
+    crt = poly.crt_combine
+
+    def counted(pairs):
+        counts.append(len(pairs))
+        return crt(pairs)
+
+    monkeypatch.setattr(poly, "crt_combine", counted)
+    p_n_exact(333)
+    assert counts == [5098]
 
 
 def test_resultant_exact_against_complex_roots():

@@ -6,6 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_p_n_mod,
+    off_stride,
     poly_mul,
     predicted_interval_residue,
     predicted_prime_power_residue,
@@ -14,6 +16,8 @@ from helpers import (
 )
 from logdisc.arith import (
     factorize,
+    floor_log,
+    int_valuation,
     is_prime,
     lcm_upto,
     legendre_symbol,
@@ -167,23 +171,65 @@ def test_p_n_mod_rejects_composite_modulus():
         p_n_mod(10, 9)
 
 
-# n = 1 (mod 4) below 3000 against every prime p | n.  The examples hold
-# p = 3 with p^2 | n (45 = 3^2 * 5, 225), n = p^e so that n' = 1 (9, 125),
-# B(1) = 0 while Res(psi_n', B) != 0 (21 at p = 3, 33 at p = 11),
-# P_333 = 0 (mod 37), and 2997 = 3^4 * 37 near the top of the range
+# every n below 3000 against every prime p | n: p_n_mod's stride, the
+# producer's builder and the dense Euclid agree.  The examples hold p = 3
+# with p^2 | n (45 = 3^2 * 5, 225), n = p^e so that n' = 1 (9, 125, and
+# 2, 16, 1024 at p = 2), B(1) = 0 while Res(psi_n', B) != 0 (21 at p = 3,
+# 33 at p = 11), P_333 = 0 (mod 37), p = 2 with n' > 1 (12, 96), and
+# 2997 = 3^4 * 37 near the top of the range
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 749).map(lambda k: 4 * k + 1))
+@given(st.integers(2, 3000))
+@example(2)
 @example(9)
+@example(12)
+@example(16)
 @example(21)
 @example(33)
 @example(45)
+@example(96)
 @example(125)
 @example(225)
 @example(333)
+@example(1024)
 @example(2997)
 def test_p_n_mod_at_divisor_matches_p_n_mod(n):
+    exact = p_n_exact(n) if n <= 150 else None
     for p in factorize(n):
-        assert p_n_mod_at_divisor(n, p) == p_n_mod(n, p), (n, p)
+        got = p_n_mod(n, p)
+        assert got == p_n_mod_at_divisor(n, p) == dense_p_n_mod(n, p), (n, p)
+        if exact is not None:
+            assert got == exact % p, (n, p)
+
+
+def test_p_n_mod_at_a_divisor_runs_only_a_small_resultant(monkeypatch):
+    # at p | n, no Euclid of degree n: every resultant_mod_p call takes
+    # rows of at most max(n', (n - 2) // s + 1) terms, s = p^floor(log_p n)
+    import logdisc.trunclog as trunclog
+
+    seen = []
+    real = trunclog.resultant_mod_p
+
+    def recording(f, g, p):
+        seen.append((len(f), len(g)))
+        return real(f, g, p)
+
+    monkeypatch.setattr(trunclog, "resultant_mod_p", recording)
+    for n in (221, 1197, 9933):
+        for p in factorize(n):
+            want = dense_p_n_mod(n, p)
+            seen.clear()
+            assert p_n_mod(n, p) == want, (n, p)
+            s = p ** floor_log(p, n)
+            bound = max(n // p ** int_valuation(n, p), (n - 2) // s + 1)
+            assert all(max(lens) <= bound for lens in seen), (n, p, seen, bound)
+
+
+def test_p_n_mod_refuses_a_row_off_the_stride(monkeypatch):
+    import logdisc.trunclog as trunclog
+
+    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", off_stride(_reduced_coeffs_mod))
+    with pytest.raises(ArithmeticError, match="A_45 mod 3 "):
+        p_n_mod(45, 3)
 
 
 def test_p_n_mod_at_divisor_pinned():
