@@ -310,7 +310,8 @@ def factorize(x: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
     out: dict[int, int] = {}
     for p in primes_upto(_TRIAL_LIMIT):
         if p * p > x:
-            break
+            # no prime below p divides x, so x is 1 or a prime
+            return {**out, x: 1} if x > 1 else out
         while x % p == 0:
             out[p] = out.get(p, 0) + 1
             x //= p

@@ -7,24 +7,22 @@ claim from scratch.  Routes, in the order tried:
   * n = 1                     trivial (linear polynomial)
   * n = 2, 3 (mod 4)          negative discriminant
   * n = 0 (mod 4), n > 4      odd valuation at a prime in (n/2, n-2)
-  * n = p^e, e odd            odd valuation at p
-  * n = m*q, prime q > m      split congruence forces odd valuation,
-                              unless q lands in the exceptional set E_m
   * p^e || n, e odd           odd valuation at p, if P_n mod p != 0,
                               tried over such p, largest first
   * otherwise                 quadratic non-residue witness search;
                               unresolved if no witness turns up within
                               max_witness_attempts primes
 
-The producer runs no Euclid of degree n: theorem routes are chosen from
-the shape of n, the divisor route runs one small resultant
+The producer runs no Euclid of degree n: the interval route is chosen
+from the shape of n, the divisor route runs one small resultant
 (trunclog.p_n_mod_at_divisor), and witnesses are primes ell = 1 (mod n),
 where a DFT over the n-th roots of unity gives disc F_n mod ell straight
 from the coefficients of F_n.  verify_failure checks the four valuation
-routes by one rule (prime r, odd frame valuation, P_n mod r nonzero by
-p_n_mod: at r | n the divisor lemma on its own row A_n mod r, sharing
-no code with p_n_mod_at_divisor), never consults E_m, and takes a
-witness at any prime n < ell < 2^31.
+kinds, among them odd_prime_power_valuation (n = p^e) and split_theorem
+(n = m*q) that older files hold, by one rule (prime r, odd frame
+valuation, P_n mod r nonzero by p_n_mod: at r | n the divisor lemma on
+its own row A_n mod r, sharing no code with p_n_mod_at_divisor), never
+consults E_m, and takes a witness at any prime n < ell < 2^31.
 """
 
 from __future__ import annotations
@@ -34,8 +32,11 @@ from itertools import islice
 
 from .arith import factorize, is_prime, is_rational_square, legendre_symbol, next_prime
 from .poly import _NP_MAX_MOD
-from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, in_exceptional_set, p_n_mod
-from .trunclog import p_n_mod_at_divisor
+from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, p_n_mod, p_n_mod_at_divisor
+
+# nothing here calls in_exceptional_set; the name stays bound because
+# perfbench traces certify.in_exceptional_set
+from .trunclog import in_exceptional_set  # noqa: F401
 
 # fields that must be present (not None) for each kind; all others None
 _REQUIRED_FIELDS = {
@@ -50,7 +51,8 @@ _REQUIRED_FIELDS = {
     "counterexample": (),
     "unresolved": (),
 }
-# every kind, in classify order
+# every kind: those classify emits, in the order it tries them, and
+# odd_prime_power_valuation and split_theorem, which only older files hold
 CERT_KINDS = tuple(_REQUIRED_FIELDS)
 _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # every integer field a certificate may carry, in the order sweep files
@@ -112,8 +114,8 @@ def witness_search(n: int, max_attempts: int) -> tuple[int, int] | None:
 def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     """Certificate that disc F_n is not a square of a rational.
 
-    Theorem routes are chosen from the shape of n alone: their congruences
-    keep P_n a unit at the route's prime, and verify_failure rechecks it.
+    The interval route is chosen from the shape of n alone: its
+    congruence keeps P_n a unit at ell, and verify_failure rechecks it.
     The divisor route evaluates P_n mod p before it claims a unit.
     """
     cfg = config or ClassifyConfig()
@@ -134,15 +136,6 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
 
     # n = 1 (mod 4)
     fac = factorize(n)
-    if len(fac) == 1:
-        ((p, e),) = fac.items()
-        if e & 1:
-            return Certificate("odd_prime_power_valuation", p=p, e=e)
-    else:
-        q = max(fac)
-        m = n // q
-        if q > m and not in_exceptional_set(m, q):
-            return Certificate("split_theorem", m=m, q=q)
     for p in sorted((p for p, e in fac.items() if e & 1), reverse=True):
         if p_n_mod_at_divisor(n, p):
             return Certificate("divisor_valuation", p=p, e=fac[p])

@@ -145,14 +145,16 @@ def p_n_mod_at_divisor(n: int, p: int) -> int:
     """
     if n < 2 or n % p:
         raise ValueError(f"p_n_mod_at_divisor requires a prime divisor of n >= 2, got {p} for n = {n}")
-    s = p ** floor_log(p, n)
     n1 = n // p ** int_valuation(n, p)
+    if n1 == 1:
+        return 1  # n = s, and B = [U] is a unit
+    s = p ** floor_log(p, n)
     U = _lcm_mod(n, p, skip=p)
     B = [U * pow(n // s, -1, p) % p if n % s == 0 else 0]
     B += [U * pow(j, -1, p) % p for j in range(1, (n - 2) // s + 1)]
     if sum(B) % p == 0:
         return 0
-    return resultant_mod_p(psi_poly(n1), B, p) if n1 > 1 else 1
+    return resultant_mod_p(psi_poly(n1), B, p)
 
 
 def frame_valuation(n: int, p: int) -> int:

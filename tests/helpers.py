@@ -2,16 +2,17 @@
 the p-adic valuation of a rational, P_n mod ell by the dense Euclid,
 and the paper's closed-form residues of P_n on the three theorem routes.
 
-classify picks those routes from the shape of n without evaluating the
-residues; the tests check each formula against Euclid (dense_p_n_mod)
-and that it is nonzero exactly where classify takes its route.
+theorem_route picks those routes from the shape of n; the tests check
+each formula against Euclid (dense_p_n_mod) and that it is nonzero on
+every n of its route.
 """
 
 from fractions import Fraction
 
-from logdisc.arith import harmonic, int_valuation, is_prime
+from logdisc.arith import factorize, harmonic, int_valuation, is_prime
+from logdisc.certify import bertrand_prime
 from logdisc.poly import normalize, psi_poly, resultant_mod_p
-from logdisc.trunclog import _lcm_mod, _reduced_coeffs_mod, x_of
+from logdisc.trunclog import _lcm_mod, _reduced_coeffs_mod, in_exceptional_set, x_of
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -97,3 +98,28 @@ def predicted_split_residue(m: int, q: int) -> int:
     xq = x.numerator % q * pow(x.denominator, -1, q) % q
     yq = y.numerator % q * pow(y.denominator, -1, q) % q
     return base * pow(xq, q, q) % q * pow(yq, q - 1, q) % q
+
+
+def theorem_route(n: int) -> tuple[str, int, int] | None:
+    """The paper's theorem route for n, chosen from the shape of n, as
+    (route, prime, predicted P_n mod prime); None if n takes none:
+
+      * odd_valuation: n = 0 (mod 4), n > 4, at the least prime in (n/2, n-2);
+      * odd_prime_power_valuation: n = p^e = 1 (mod 4) with e odd, at p;
+      * split_theorem: n = m*q = 1 (mod 4), prime q > m >= 2, q outside
+        E_m, at q.
+    """
+    if n % 4 == 0 and n > 4:
+        ell = bertrand_prime(n)
+        return "odd_valuation", ell, predicted_interval_residue(n, ell)
+    if n % 4 != 1 or n == 1:
+        return None
+    fac = factorize(n)
+    q = max(fac)
+    if len(fac) == 1:
+        e = fac[q]
+        return ("odd_prime_power_valuation", q, predicted_prime_power_residue(q, e)) if e & 1 else None
+    m = n // q
+    if q > m and not in_exceptional_set(m, q):
+        return "split_theorem", q, predicted_split_residue(m, q)
+    return None

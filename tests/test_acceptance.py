@@ -15,6 +15,7 @@ from helpers import (
     predicted_prime_power_residue,
     predicted_split_residue,
     rat_valuation,
+    theorem_route,
 )
 from logdisc.arith import (
     int_valuation,
@@ -22,7 +23,7 @@ from logdisc.arith import (
     legendre_symbol,
     next_prime,
 )
-from logdisc.certify import bertrand_prime, classify, verify_certificate
+from logdisc.certify import Certificate, bertrand_prime, classify, verify_certificate
 from logdisc.poly import psi_poly, resultant_exact, resultant_prs
 from logdisc.sweep import SweepConfig, run_sweep, verify_file
 from logdisc.trunclog import (
@@ -200,22 +201,22 @@ def test_criterion_6_theorem_congruences():
         got = dense_p_n_mod(n, ell)
         ok_interval &= got == want and got != 0 and predicted_interval_residue(n, ell) == want
 
-    # the closed forms classify relies on, on every theorem-route n of
-    # the range-sweep benchmark's window
+    # the closed forms on every theorem-route n of the range-sweep
+    # benchmark's window, routed by the shape of n; each gives P_n a unit
+    # at its prime, so classify certifies n there: odd_valuation at ell,
+    # and for n = 1 (mod 4) divisor_valuation at the same prime
     routes = Counter()
     ok_routes = True
     for n in range(2, 1301):
-        cert = classify(n)
-        if cert.kind == "odd_valuation":
-            ell, want = cert.ell, predicted_interval_residue(n, cert.ell)
-        elif cert.kind == "odd_prime_power_valuation":
-            ell, want = cert.p, predicted_prime_power_residue(cert.p, cert.e)
-        elif cert.kind == "split_theorem":
-            ell, want = cert.q, predicted_split_residue(cert.m, cert.q)
-        else:
+        if (route := theorem_route(n)) is None:
             continue
-        routes[cert.kind] += 1
+        kind, ell, want = route
+        routes[kind] += 1
         ok_routes &= want != 0 and dense_p_n_mod(n, ell) == want
+        if kind == "odd_valuation":
+            ok_routes &= classify(n) == Certificate("odd_valuation", ell=ell)
+        else:
+            ok_routes &= classify(n) == Certificate("divisor_valuation", p=ell, e=int_valuation(n, ell))
 
     ok = (
         report("prime power residues match for n in {9,...,169}", ok_pp)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,6 +187,24 @@ def test_factorize_random_roundtrip():
         if x == 1:
             continue
         assert factorize(x) == want
+
+
+def test_factorize_around_the_trial_limit(monkeypatch):
+    # trial division runs over the primes below 10^4 (the largest is
+    # 9973, the next prime 10007) and returns as soon as p^2 exceeds what
+    # is left; n on both sides of the limit and of its square
+    for x in (9973**2, 10007, 10007**2, 9973 * 10007, 99_999_989, 100_000_007):
+        assert factorize(x) == sympy.factorint(x), x
+    # a leftover below p^2 is 1 or a prime, with no primality test
+    import logdisc.arith as arith_mod
+
+    def no_is_prime(x):
+        raise AssertionError(f"is_prime({x}) called")
+
+    monkeypatch.setattr(arith_mod, "is_prime", no_is_prime)
+    assert factorize(2) == {2: 1}
+    assert factorize(3 * 10007) == {3: 1, 10007: 1}
+    assert factorize(9797) == {97: 1, 101: 1}
 
 
 def test_factorize_semiprime_and_powers():

@@ -115,12 +115,15 @@ def test_classify_routing():
     assert classify(4).kind == "exact_non_square"
     assert classify(8) == Certificate("odd_valuation", ell=5)
     assert classify(12) == Certificate("odd_valuation", ell=7)
-    assert classify(13) == Certificate("odd_prime_power_valuation", p=13, e=1)
-    assert classify(5) == Certificate("odd_prime_power_valuation", p=5, e=1)
-    assert classify(125) == Certificate("odd_prime_power_valuation", p=5, e=3)
-    assert classify(21) == Certificate("split_theorem", m=3, q=7)
-    assert classify(205) == Certificate("split_theorem", m=5, q=41)
-    assert classify(221) == Certificate("split_theorem", m=13, q=17)
+    # n = 1 (mod 4) takes the divisor route wherever the prime power and
+    # split theorems hold: n = p^e with e odd, and n = m*q with prime q > m
+    # outside E_m, at p or q
+    assert classify(13) == Certificate("divisor_valuation", p=13, e=1)
+    assert classify(5) == Certificate("divisor_valuation", p=5, e=1)
+    assert classify(125) == Certificate("divisor_valuation", p=5, e=3)
+    assert classify(21) == Certificate("divisor_valuation", p=7, e=1)
+    assert classify(205) == Certificate("divisor_valuation", p=41, e=1)
+    assert classify(221) == Certificate("divisor_valuation", p=17, e=1)
     # 33 = 3*11 but 11 is exceptional for m = 3, so P_33 = 0 (mod 11); the
     # divisor route goes on to 3
     assert classify(33) == Certificate("divisor_valuation", p=3, e=1)
@@ -130,8 +133,8 @@ def test_classify_routing():
     # even prime power exponent gives no parity: witness route
     assert classify(25).kind == "non_residue_witness"
     assert classify(625).kind == "non_residue_witness"
-    # largest prime factor below its cofactor: split hypotheses fail, and
-    # the divisor route takes the largest odd-exponent prime
+    # largest prime factor below its cofactor, outside the split theorem:
+    # the divisor route still takes the largest odd-exponent prime
     assert classify(165) == Certificate("divisor_valuation", p=11, e=1)  # 165 = 3*5*11
     assert classify(1197) == Certificate("divisor_valuation", p=19, e=1)  # 1197 = 3^2*7*19
 
@@ -165,21 +168,46 @@ def test_classify_unresolved_when_starved(monkeypatch):
 
 
 def test_classify_evaluates_no_theorem_residue(monkeypatch):
-    # the theorem routes are chosen from the shape of n alone: with L mod
-    # ell unavailable, classify still gives every theorem certificate of
-    # the range-sweep window (the split route reads E_m membership only);
-    # the divisor route evaluates P_n mod p by design, through L/s mod p
+    # the interval and sign routes are chosen from the shape of n alone,
+    # and so is the divisor route's answer at n = p^e, where n' = 1 and B
+    # is the unit L/n: with L mod p unavailable, classify still gives
+    # every such certificate of the range-sweep window; other divisor
+    # records evaluate P_n mod p by design, through L/s mod p
     import logdisc.trunclog as trunclog_mod
 
-    theorem = ("negative_sign", "odd_valuation", "odd_prime_power_valuation", "split_theorem")
-    want = {n: cert for n in range(2, 1210) if (cert := classify(n)).kind in theorem}
-    assert len(want) == 1140
+    def shape_only(n, cert):
+        return cert.kind in ("negative_sign", "odd_valuation") or (
+            cert.kind == "divisor_valuation" and cert.p**cert.e == n)
+
+    want = {n: cert for n in range(2, 1210) if shape_only(n, cert := classify(n))}
+    assert len(want) == 1002  # 604 sign, 301 interval, 97 prime powers
 
     def forbidden(*args, **kwargs):
         raise AssertionError("closed-form residue evaluated")
 
     monkeypatch.setattr(trunclog_mod, "_lcm_mod", forbidden)
     assert {n: classify(n) for n in want} == want
+
+
+def test_classify_reaches_no_exact_kernel(monkeypatch):
+    # past n = 4, whose exact discriminant is the route, the producer runs
+    # no exact resultant and no E_m membership: neither the X(m) behind
+    # E_m nor the exact kernel is reached on the range-sweep window
+    import logdisc.certify as certify_mod
+    import logdisc.poly as poly_mod
+    import logdisc.trunclog as trunclog_mod
+
+    ns = [n for n in range(2, 1210) if n != 4]
+    want = {n: classify(n) for n in ns}
+
+    def no_kernel(*args):
+        raise AssertionError("exact kernel reached")
+
+    for mod, name in ((trunclog_mod, "x_of"), (trunclog_mod, "resultant_exact"),
+                      (poly_mod, "resultant_exact"), (trunclog_mod, "in_exceptional_set"),
+                      (certify_mod, "in_exceptional_set")):
+        monkeypatch.setattr(mod, name, no_kernel)
+    assert {n: classify(n) for n in ns} == want
 
 
 def test_round_trip_2_to_300():
@@ -421,21 +449,37 @@ def test_verify_witness_modulus_lies_below_two_to_the_31(monkeypatch):
     )
 
 
+def _relabel_to_theorem_kinds(rec):
+    """rec with a divisor_valuation certificate rewritten to the kind the
+    producer gave it before the divisor route took the theorem n:
+    split_theorem(m, q) for (q, 1) with n = m*q and q > m >= 2, and
+    odd_prime_power_valuation(p, e) for p^e = n."""
+    n, cert = rec["n"], rec["certificate"]
+    if cert["type"] == "divisor_valuation":
+        p, e = int(cert["p"]), int(cert["e"])
+        if p**e == n:
+            cert = {"type": "odd_prime_power_valuation", "p": cert["p"], "e": cert["e"]}
+        elif e == 1 and p > n // p >= 2:
+            cert = {"type": "split_theorem", "m": str(n // p), "q": cert["p"]}
+    return {**rec, "certificate": cert}
+
+
 def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatch):
     # the verifier shares no exact kernel and no divisor-lemma code with
     # the producer: past the one exact record (n = 4), a whole sweep
     # verifies with the exact kernel, the X(m) behind E_m and the
-    # producer's p_n_mod_at_divisor made to raise
+    # producer's p_n_mod_at_divisor made to raise; the sweep is relabelled
+    # to the two theorem kinds that older files hold, so both still verify
     import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
     import logdisc.trunclog as trunclog_mod
 
     full, rest = tmp_path / "full.jsonl", tmp_path / "rest.jsonl"
     run_sweep(SweepConfig(2, 1209, out=str(full)))
-    lines = full.read_text().splitlines(keepends=True)
-    kept = [line for line in lines if json.loads(line)["n"] != 4]
-    assert len(kept) == len(lines) - 1
-    rest.write_text("".join(kept))
+    records = [json.loads(line) for line in full.read_text().splitlines()]
+    kept = [_relabel_to_theorem_kinds(r) for r in records if r["n"] != 4]
+    assert len(kept) == len(records) - 1
+    rest.write_text("".join(json.dumps(r) + "\n" for r in kept))
 
     def no_kernel(*args):
         raise AssertionError("producer code reached")
@@ -446,4 +490,8 @@ def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatc
         monkeypatch.setattr(mod, name, no_kernel)
     report = verify_file(rest)
     assert report.total == 1207 and report.ok
-    assert report.routes["split_theorem"][0] > 0 and report.routes["divisor_valuation"][0] > 0
+    # the counts of the file the producer wrote before the divisor route
+    # took the theorem n
+    assert report.routes["split_theorem"][0] == 138
+    assert report.routes["odd_prime_power_valuation"][0] == 97
+    assert report.routes["divisor_valuation"][0] == 47

@@ -349,7 +349,7 @@ def test_verify_tampered_divisor_records_exit_three(tmp_path, capsys):
     assert recs[5]["n"] == 45 and recs[5]["certificate"] == {"type": "divisor_valuation",
                                                              "p": "5", "e": "1"}
     code, out, _ = run(capsys, "verify", str(out_path))
-    assert code == 0 and "route divisor_valuation: 1 records, " in out
+    assert code == 0 and "route divisor_valuation: 2 records, " in out  # 41 and 45
     tampered = [
         (45, {"p": "3", "e": "2"}, "frame valuation at 3 is even"),
         (45, {"p": "3", "e": "1"}, "3^1 does not exactly divide n"),

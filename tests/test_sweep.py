@@ -115,7 +115,7 @@ def test_classify_record_shape():
     rec = classify_record(13, None)
     assert rec["n"] == 13
     assert rec["status"] == "certified"
-    assert rec["certificate"]["type"] == "odd_prime_power_valuation"
+    assert rec["certificate"] == {"type": "divisor_valuation", "p": "13", "e": "1"}
     assert rec["ms"] >= 0
     assert isinstance(rec["tool_version"], str)
 
@@ -203,21 +203,21 @@ def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
     # the range-sweep benchmark's window: every record verifies, and
     # every certificate off the witness and divisor routes is byte for
     # byte the one the euclidean producer wrote; the divisor route took
-    # 46 of the window's 66 witness n
+    # 46 of the window's 66 witness n, and all 137 split and 97 prime
+    # power n of the theorem routes
     out = tmp_path / "sweep.jsonl"
     summary = run_sweep(SweepConfig(2, 1201, out=str(out)))
     report = verify_file(out)
     assert summary.certified == 1200 and report.ok and report.total == 1200
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert Counter(r["certificate"]["type"] for r in records) == {
-        "negative_sign": 600, "odd_valuation": 299, "split_theorem": 137,
-        "odd_prime_power_valuation": 97, "divisor_valuation": 46, "non_residue_witness": 20,
-        "exact_non_square": 1,
+        "negative_sign": 600, "odd_valuation": 299, "divisor_valuation": 280,
+        "non_residue_witness": 20, "exact_non_square": 1,
     }
     kept = sorted((r["n"], json.dumps(r["certificate"], sort_keys=True)) for r in records
                   if r["certificate"]["type"] not in ("non_residue_witness", "divisor_valuation"))
     digest = hashlib.sha256("".join(f"{n} {c}\n" for n, c in kept).encode()).hexdigest()
-    assert digest == "dc474514f2da9366b5b872a8ec9ae15d4f518b251a2e11272e1d1b90d7c3a295"
+    assert digest == "47a1c170d6cec6f5bc1bae56dea32cfb167da1a980662f3696dd2c31eca129a5"
 
 
 def test_run_sweep_resume_after_truncation(tmp_path):
