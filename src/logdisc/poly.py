@@ -3,7 +3,7 @@
 Polynomials are lists of int coefficients in ascending degree order
 with a nonzero last entry (the zero polynomial is the empty list).
 
-Three independent resultant routes live here:
+Two resultant routes live here:
 
   * resultant_mod_p   -- euclidean remainder sequence over F_p,
   * resultant_exact   -- Res(1 + x + ... + x^(n-1), g) by CRT over the
@@ -14,11 +14,11 @@ Three independent resultant routes live here:
                          word primes p != 1 (mod n) follow by the
                          euclidean route, and the next prime of the
                          sequence, also by the euclidean route, checks
-                         the reconstructed value,
-  * resultant_prs     -- subresultant pseudo-remainder sequence over Z.
+                         the reconstructed value.
 
-The last is deliberately kept algorithmically disjoint from the first
-two so it can serve as a cross-check oracle.
+The tests hold a third, resultant_prs in tests/helpers.py: the
+subresultant pseudo-remainder sequence over Z, kept algorithmically
+disjoint from both so it can serve as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ IntPoly = list[int]
 # product of two residues stays inside int64; above it, on object
 # arrays of Python ints
 _NP_MAX_MOD = 1 << 31
-# the first division of resultant_mod_p, f mod g, takes _sparse_polymod
-# when g mod p has at most deg(g) / _SPARSE_DIV nonzero coefficients
-# below its top
-_SPARSE_DIV = 8
 
 
 def normalize(coeffs: list[int]) -> IntPoly:
@@ -50,11 +46,6 @@ def normalize(coeffs: list[int]) -> IntPoly:
     while k and coeffs[k - 1] == 0:
         k -= 1
     return list(coeffs[:k])
-
-
-def degree(p: IntPoly) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(p) - 1
 
 
 def psi_poly(n: int) -> IntPoly:
@@ -96,52 +87,34 @@ def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return a[:k]
 
 
-def _sparse_polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """_polymod by a loop over Python ints that touches only the
-    nonzero columns of b below its top: for each quotient term, one
-    update per such column and no numpy call."""
-    db = len(b) - 1
-    r = a.tolist()
-    inv = pow(int(b[-1]), -1, p)
-    cols = [(j, p - c) for j, c in enumerate(b[:db].tolist()) if c]  # (j, -b_j)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            c = c * inv % p
-            base = i - db
-            for j, m in cols:
-                r[base + j] = (r[base + j] + c * m) % p
-    return np.array(normalize(r[:db]), dtype=a.dtype)
-
-
 def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
     """Res(f, g) mod p for f monic modulo p of degree >= 1.
 
     Handles any drop in the degree of g mod p; returns 0 exactly when
     f and g share a root over F_p (or g vanishes identically mod p).
-    The loop is euclid over F_p on numpy arrays (int64 below
-    _NP_MAX_MOD, Python ints above), on copies of f and g, never on the
-    caller's lists.  Whether the first division f mod g runs on the
-    nonzero columns of g alone (_sparse_polymod) is decided once per
-    call, from g mod p only; every later division is dense (_polymod).
-    A dense int64 division reduces once, at its end, while steps * (p - 1)^2 + p < 2^63.
+    The k low zero coefficients of g mod p come out first: for monic f,
+    Res(f, x^k h) = ((-1)^deg f * f(0))^k * Res(f, h), so a monomial
+    g mod p takes no division at all.  The rest is euclid over F_p on
+    numpy arrays (int64 below _NP_MAX_MOD, Python ints above), on copies
+    of f and g, never on the caller's lists.  An int64 division reduces
+    once, at its end, while steps * (p - 1)^2 + p < 2^63 (_polymod).
     """
     a = normalize([c % p for c in f])
     if len(a) < 2 or a[-1] != 1:
         raise ValueError("f must be monic of degree >= 1 modulo p")
     dtype = np.int64 if p < _NP_MAX_MOD else object
     a, b = np.array(a, dtype=dtype), np.array(normalize([c % p for c in g]), dtype=dtype)
-    sparse = np.count_nonzero(b[:-1]) * _SPARSE_DIV <= len(b) - 1
-    polymod = _sparse_polymod if sparse else _polymod
-    res = 1
+    if not len(b):
+        return 0
+    k = int(np.flatnonzero(b)[0])
+    f0 = int(a[0])
+    res = pow(-f0 if (len(a) - 1) & 1 else f0, k, p)
+    b = b[k:]
     while True:
-        if not len(b):
-            return 0
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
             return res * pow(int(b[0]), da, p) % p
-        r = polymod(a, b, p)
-        polymod = _polymod
+        r = _polymod(a, b, p)
         if not len(r):
             return 0
         if da & db & 1:
@@ -481,69 +454,3 @@ def resultant_exact(n: int, g: list[int]) -> int:
     if resultant_mod_p(f, g, check) != R % check:
         raise ArithmeticError(f"resultant_exact: the CRT value disagrees with Res mod {check}")
     return R
-
-
-def _content(p: list[int]) -> int:
-    return math.gcd(*(abs(c) for c in p)) if len(p) > 1 else abs(p[0])
-
-
-def _prem(A: list[int], B: list[int], c: int) -> list[int]:
-    """Pseudo-remainder of A by B, scaled by c = lc(B) to power dA-dB+1."""
-    dA, dB = len(A) - 1, len(B) - 1
-    steps = dA - dB + 1
-    R = list(A)
-    while R and len(R) - 1 >= dB:
-        lead = R[-1]
-        R = [c * x for x in R[:-1]]
-        off = len(R) - dB
-        for j in range(dB):
-            R[off + j] -= lead * B[j]
-        R = normalize(R)
-        steps -= 1
-    if steps > 0 and R:
-        scale = c**steps
-        R = [scale * x for x in R]
-    return R
-
-
-def resultant_prs(f: list[int], g: list[int]) -> int:
-    """Res(f, g) over Z by the subresultant pseudo-remainder sequence.
-
-    Independent of the modular machinery above: pure integer pseudo-
-    division with the classical content/sign bookkeeping.
-    """
-    A = normalize(f)
-    B = normalize(g)
-    if not A or not B:
-        return 0
-    s = 1
-    if degree(A) < degree(B):
-        if degree(A) & degree(B) & 1:
-            s = -1
-        A, B = B, A
-    if degree(B) == 0:
-        return s * B[0] ** degree(A)
-    ca, cb = _content(A), _content(B)
-    A = [x // ca for x in A]
-    B = [x // cb for x in B]
-    t = ca ** degree(B) * cb ** degree(A)
-    g_, h = 1, 1
-    while True:
-        dA, dB = degree(A), degree(B)
-        delta = dA - dB
-        if dA & dB & 1:
-            s = -s
-        R = _prem(A, B, B[-1])
-        if not R:
-            return 0
-        A = B
-        denom = g_ * h**delta
-        B = [x // denom for x in R]
-        g_ = A[-1]
-        if delta == 1:
-            h = g_
-        elif delta > 1:
-            h = g_**delta // h ** (delta - 1)
-        if degree(B) == 0:
-            dA = degree(A)
-            return s * t * (B[0] ** dA // h ** (dA - 1))

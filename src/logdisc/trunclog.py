@@ -37,7 +37,7 @@ import numpy as np
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, primes_upto
 from .poly import _NP_MAX_MOD, _all_ones_residues, psi_poly
-from .poly import resultant_exact, resultant_mod_p, resultant_prs
+from .poly import resultant_exact, resultant_mod_p
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,12 @@ def p_n_exact(n: int) -> int:
 
 def _lcm_mod(n: int, mod: int, skip: int = 0) -> int:
     """Product of maximal prime powers <= n, mod `mod`, optionally
-    skipping the prime `skip` entirely."""
+    skipping the prime `skip` entirely; a prime above sqrt(n) enters once."""
     out = 1
     for p in primes_upto(n):
         if p == skip:
             continue
-        out = out * p ** floor_log(p, n) % mod
+        out = out * (p if p * p > n else p ** floor_log(p, n)) % mod
     return out
 
 
@@ -182,22 +182,6 @@ def disc_exact(n: int) -> DiscReport:
     L = lcm_upto(n)
     exact = Fraction(sign * n * pn, L ** (n - 1))
     return DiscReport(n, sign, pn, frame_valuations(n), exact)
-
-
-def disc_from_definition(n: int) -> Fraction:
-    """disc F_n straight from the defining resultant, no reduction step.
-
-    Uses the subresultant algorithm on L * F_n against the derivative,
-    then clears the L factor; serves as an independent cross-check of
-    disc_exact, sharing none of its polynomial arithmetic.
-    """
-    if n < 2:
-        raise ValueError(f"disc_from_definition requires n >= 2, got {n}")
-    L = lcm_upto(n)
-    r = resultant_prs(f_tilde(n), psi_poly(n))
-    # Res(F_n, F_n') = r / L^(n-1) and the leading coefficient 1/n
-    # contributes a factor n
-    return Fraction(disc_sign(n) * n * r, L ** (n - 1))
 
 
 def disc_mod(n: int, ell: int) -> int:

@@ -1,18 +1,21 @@
 """Helpers that only the tests need: polynomial product and evaluation,
-the p-adic valuation of a rational, P_n mod ell by the dense Euclid,
-and the paper's closed-form residues of P_n on the three theorem routes.
+the independent PRS oracle (resultant_prs over Z, and disc F_n from its
+defining resultant), the p-adic valuation of a rational, P_n mod ell by
+the dense Euclid, and the paper's closed-form residues of P_n on the
+three theorem routes.
 
 theorem_route picks those routes from the shape of n; the tests check
 each formula against Euclid (dense_p_n_mod) and that it is nonzero on
 every n of its route.
 """
 
+import math
 from fractions import Fraction
 
-from logdisc.arith import factorize, harmonic, int_valuation, is_prime
+from logdisc.arith import factorize, harmonic, int_valuation, is_prime, lcm_upto
 from logdisc.certify import bertrand_prime
-from logdisc.poly import normalize, psi_poly, resultant_mod_p
-from logdisc.trunclog import _lcm_mod, _reduced_coeffs_mod, in_exceptional_set, x_of
+from logdisc.poly import IntPoly, normalize, psi_poly, resultant_mod_p
+from logdisc.trunclog import _lcm_mod, _reduced_coeffs_mod, disc_sign, f_tilde, in_exceptional_set, x_of
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -31,6 +34,93 @@ def poly_eval(p: list, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def degree(p: IntPoly) -> int:
+    """Degree, with the zero polynomial at -1."""
+    return len(p) - 1
+
+
+def _content(p: list[int]) -> int:
+    return math.gcd(*(abs(c) for c in p)) if len(p) > 1 else abs(p[0])
+
+
+def _prem(A: list[int], B: list[int], c: int) -> list[int]:
+    """Pseudo-remainder of A by B, scaled by c = lc(B) to power dA-dB+1."""
+    dA, dB = len(A) - 1, len(B) - 1
+    steps = dA - dB + 1
+    R = list(A)
+    while R and len(R) - 1 >= dB:
+        lead = R[-1]
+        R = [c * x for x in R[:-1]]
+        off = len(R) - dB
+        for j in range(dB):
+            R[off + j] -= lead * B[j]
+        R = normalize(R)
+        steps -= 1
+    if steps > 0 and R:
+        scale = c**steps
+        R = [scale * x for x in R]
+    return R
+
+
+def resultant_prs(f: list[int], g: list[int]) -> int:
+    """Res(f, g) over Z by the subresultant pseudo-remainder sequence.
+
+    Independent of the modular machinery of logdisc.poly: pure integer pseudo-
+    division with the classical content/sign bookkeeping.
+    """
+    A = normalize(f)
+    B = normalize(g)
+    if not A or not B:
+        return 0
+    s = 1
+    if degree(A) < degree(B):
+        if degree(A) & degree(B) & 1:
+            s = -1
+        A, B = B, A
+    if degree(B) == 0:
+        return s * B[0] ** degree(A)
+    ca, cb = _content(A), _content(B)
+    A = [x // ca for x in A]
+    B = [x // cb for x in B]
+    t = ca ** degree(B) * cb ** degree(A)
+    g_, h = 1, 1
+    while True:
+        dA, dB = degree(A), degree(B)
+        delta = dA - dB
+        if dA & dB & 1:
+            s = -s
+        R = _prem(A, B, B[-1])
+        if not R:
+            return 0
+        A = B
+        denom = g_ * h**delta
+        B = [x // denom for x in R]
+        g_ = A[-1]
+        if delta == 1:
+            h = g_
+        elif delta > 1:
+            h = g_**delta // h ** (delta - 1)
+        if degree(B) == 0:
+            dA = degree(A)
+            return s * t * (B[0] ** dA // h ** (dA - 1))
+
+
+def disc_from_definition(n: int) -> Fraction:
+    """disc F_n straight from the defining resultant, no reduction step.
+
+    Uses the subresultant algorithm on L * F_n against the derivative,
+    then clears the L factor; serves as an independent cross-check of
+    disc_exact, sharing none of its polynomial arithmetic.
+    """
+    if n < 2:
+        raise ValueError(f"disc_from_definition requires n >= 2, got {n}")
+    L = lcm_upto(n)
+    r = resultant_prs(f_tilde(n), psi_poly(n))
+    # Res(F_n, F_n') = r / L^(n-1) and the leading coefficient 1/n
+    # contributes a factor n
+    return Fraction(disc_sign(n) * n * r, L ** (n - 1))
 
 
 def dense_p_n_mod(n: int, ell: int) -> int:

@@ -11,10 +11,12 @@ from fractions import Fraction
 
 from helpers import (
     dense_p_n_mod,
+    disc_from_definition,
     predicted_interval_residue,
     predicted_prime_power_residue,
     predicted_split_residue,
     rat_valuation,
+    resultant_prs,
     theorem_route,
 )
 from logdisc.arith import (
@@ -24,11 +26,10 @@ from logdisc.arith import (
     next_prime,
 )
 from logdisc.certify import Certificate, bertrand_prime, classify, verify_certificate
-from logdisc.poly import psi_poly, resultant_exact, resultant_prs
+from logdisc.poly import psi_poly, resultant_exact
 from logdisc.sweep import SweepConfig, run_sweep, verify_file
 from logdisc.trunclog import (
     disc_exact,
-    disc_from_definition,
     disc_mod,
     exceptional_set,
     p_n_exact,

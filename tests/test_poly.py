@@ -10,19 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logdisc.poly as poly
-from helpers import poly_eval, poly_mul
+from helpers import degree, poly_eval, poly_mul, resultant_prs
 from logdisc.arith import factorize, is_prime
 from logdisc.poly import (
     _WORD_PRIME_TOP,
     _descending_primes_1_mod_n,
     _order_n_root,
     _unity_dft,
-    degree,
     normalize,
     psi_poly,
     resultant_exact,
     resultant_mod_p,
-    resultant_prs,
 )
 from logdisc.trunclog import p_n_exact
 
@@ -143,40 +141,41 @@ def test_resultant_mod_p_matches_unity_dft():
 
 # 2, word primes, the last int64 modulus 2^31 - 1, the first object one
 # 2^31 + 11, and a 61-bit prime
-SPARSE_PRIMES = [2, 10007, (1 << 31) - 1, (1 << 31) + 11, (1 << 61) - 1]
+EUCLID_PRIMES = [2, 10007, (1 << 31) - 1, (1 << 31) + 11, (1 << 61) - 1]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(st.data())
-def test_resultant_mod_p_sparse_first_division(data):
-    # g mod p of degree d with 0, d // 8 or d // 8 + 1 nonzero coefficients
-    # below its top: the first division is sparse exactly when there are
-    # at most d / 8, and either way Res mod p must equal the PRS oracle
-    # and euclid with every division dense
-    p = data.draw(st.sampled_from(SPARSE_PRIMES))
-    d = data.draw(st.integers(8, 40))
-    k = data.draw(st.sampled_from([0, d // 8, d // 8 + 1]))
-    g = [0] * (d + 1)
-    for j in data.draw(st.lists(st.integers(0, d - 1), min_size=k, max_size=k, unique=True)):
-        g[j] = data.draw(st.integers(1, p - 1)) + p * data.draw(st.integers(-2, 2))
-    g[d] = data.draw(st.integers(1, p - 1))
+def test_resultant_mod_p_low_zero_coefficients(data):
+    # g = x^k * h mod p of degree d, h(0) != 0 (mod p), for every k from
+    # 0 to d: resultant_mod_p strips x^k by
+    # Res(f, x^k h) = ((-1)^deg f * f(0))^k * Res(f, h), and must equal
+    # the PRS oracle, also where f(0) = 0 (mod p), where g has a leading
+    # coefficient = 0 (mod p), and where f and g share a factor
+    p = data.draw(st.sampled_from(EUCLID_PRIMES))
+    d = data.draw(st.integers(0, 40))
+    k = data.draw(st.integers(0, d))
+    residue = st.integers(1, p - 1)
+    lift = st.integers(-2, 2)
+    g = [p * data.draw(lift) for _ in range(k)]  # = 0 (mod p)
+    g.append(data.draw(residue) + p * data.draw(lift))  # h(0)
+    if d > k:
+        g += data.draw(st.lists(st.integers(-50, 50), min_size=d - k - 1, max_size=d - k - 1))
+        g.append(data.draw(residue))
     if data.draw(st.booleans()):
         g.append(p * data.draw(st.integers(1, 3)))  # a leading coefficient = 0 (mod p)
-    h = data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=2 * d)) + [1]
-    shared = data.draw(st.booleans())
+    u = data.draw(st.lists(st.integers(-50, 50), max_size=2 * d + 1)) + [1]
+    shared = d > 0 and data.draw(st.booleans())
     if shared:
-        # f = h * g / lc(g) mod p: g divides f, a zero first remainder
+        # f = u * g / lc(g) mod p: g divides f, so Res = 0
         inv = pow(g[d], -1, p)
-        f = [c * inv % p for c in poly_mul(g[: d + 1], h)]
+        f = [c * inv % p for c in poly_mul(g[: d + 1], u)]
     else:
-        f = h
+        f = u if len(u) > 1 else [0, 1]
+        f[0] = data.draw(st.integers(0, p - 1)) + p * data.draw(lift)  # a draw of 0 makes f(0) = 0 (mod p)
     f0, g0 = list(f), list(g)
-    with mock.patch.object(poly, "_sparse_polymod", wraps=poly._sparse_polymod) as sparse:
-        got = resultant_mod_p(f, g, p)
-    assert sparse.call_count == (8 * k <= d)
-    with mock.patch.object(poly, "_sparse_polymod", poly._polymod):
-        dense = resultant_mod_p(f, g, p)
-    assert got == dense == resultant_prs(f, g) % p
+    got = resultant_mod_p(f, g, p)
+    assert got == resultant_prs(f, g) % p
     if shared:
         assert got == 0
     # the in-place remainder step must work on copies of the caller's lists

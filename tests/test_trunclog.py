@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     dense_p_n_mod,
+    disc_from_definition,
     off_stride,
     poly_mul,
     predicted_interval_residue,
     predicted_prime_power_residue,
     predicted_split_residue,
     rat_valuation,
+    resultant_prs,
 )
 from logdisc.arith import (
     factorize,
@@ -25,11 +27,11 @@ from logdisc.arith import (
     primes_upto,
 )
 from logdisc.certify import Certificate, verify_certificate
-from logdisc.poly import normalize, psi_poly, resultant_prs
+from logdisc.poly import normalize, psi_poly
 from logdisc.trunclog import (
+    _lcm_mod,
     _reduced_coeffs_mod,
     disc_exact,
-    disc_from_definition,
     disc_mod,
     disc_mod_dft,
     disc_sign,
@@ -89,6 +91,17 @@ ORACLE_X = {
 # A_n mod this prime is A_n itself for n <= 42: every coefficient is
 # below 2L <= 2 lcm(1..42) < 2^59
 M61 = (1 << 61) - 1
+
+
+def test_lcm_mod_matches_lcm_upto():
+    # lcm(1..n) with the maximal power of skip divided out, mod q; the
+    # primes above sqrt(n) enter with exponent 1
+    for q in (2, 3, 5, 7, 241, 10007, (1 << 31) - 1):
+        for n in range(1, 601):
+            L = lcm_upto(n)
+            assert _lcm_mod(n, q) == L % q, (n, q)
+            U = L // q ** floor_log(q, n) if q <= n else L
+            assert _lcm_mod(n, q, skip=q) == U % q, (n, q)
 
 
 def test_reduced_coeffs_small():
