@@ -1,7 +1,7 @@
 """Integer polynomials and exact resultants.
 
-Polynomials are lists of int coefficients in ascending degree order
-with a nonzero last entry (the zero polynomial is the empty list).
+Polynomials are coefficient rows in ascending degree order, lists of
+ints or numpy rows; mod p, numpy rows of _row_dtype(p).
 
 Two resultant routes live here:
 
@@ -32,27 +32,20 @@ import numpy as np
 # the name stays bound because perfbench traces poly.is_prime
 from .arith import crt_combine, factorize, is_prime, primes_upto, symmetric_rep  # noqa: F401
 
-IntPoly = list[int]
-
-# below this modulus the remainder loop runs on int64 arrays, since a
-# product of two residues stays inside int64; above it, on object
-# arrays of Python ints
+# below this modulus a row mod p is int64, since a product of two
+# residues stays inside int64; above it, an object row of Python ints
 _NP_MAX_MOD = 1 << 31
 
 
-def normalize(coeffs: list[int]) -> IntPoly:
-    """Strip trailing zeros; the zero polynomial becomes []."""
-    k = len(coeffs)
-    while k and coeffs[k - 1] == 0:
-        k -= 1
-    return list(coeffs[:k])
+def _row_dtype(p: int):
+    return np.int64 if p < _NP_MAX_MOD else object
 
 
-def psi_poly(n: int) -> IntPoly:
-    """1 + x + ... + x^(n-1), the derivative of the degree-n truncated log."""
+def psi_poly(n: int) -> np.ndarray:
+    """1 + x + ... + x^(n-1), the derivative of the degree-n truncated log, as an int64 row."""
     if n < 2:
         raise ValueError(f"psi_poly requires n >= 2, got {n}")
-    return [1] * n
+    return np.ones(n, dtype=np.int64)
 
 
 def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -87,29 +80,32 @@ def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return a[:k]
 
 
-def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
+def resultant_mod_p(f: list[int] | np.ndarray, g: list[int] | np.ndarray, p: int) -> int:
     """Res(f, g) mod p for f monic modulo p of degree >= 1.
 
     Handles any drop in the degree of g mod p; returns 0 exactly when
     f and g share a root over F_p (or g vanishes identically mod p).
-    The k low zero coefficients of g mod p come out first: for monic f,
-    Res(f, x^k h) = ((-1)^deg f * f(0))^k * Res(f, h), so a monomial
-    g mod p takes no division at all.  The rest is euclid over F_p on
-    numpy arrays (int64 below _NP_MAX_MOD, Python ints above), on copies
-    of f and g, never on the caller's lists.  An int64 division reduces
-    once, at its end, while steps * (p - 1)^2 + p < 2^63 (_polymod).
+    Euclid runs in place on fresh rows of _row_dtype(p), never on the
+    caller's: a row of that dtype is reduced by one vectorized % p, and
+    anything else by Python ints (numpy infers float64 for ints >= 2^63).
+    The k low zero coefficients of g come out first, since for monic f
+    Res(f, x^k h) = ((-1)^deg f * f(0))^k * Res(f, h): a monomial g takes
+    no division.  An int64 division reduces once, at its end (_polymod).
     """
-    a = normalize([c % p for c in f])
-    if len(a) < 2 or a[-1] != 1:
+    dtype = _row_dtype(p)
+    a, b = (h % p if isinstance(h, np.ndarray) and h.dtype == dtype
+            else np.array([int(c) % p for c in h], dtype=dtype) for h in (f, g))
+    # nonzero runs several times faster on a bool mask than on int64
+    nz = (a != 0).nonzero()[0]
+    if not len(nz) or not nz[-1] or a[nz[-1]] != 1:
         raise ValueError("f must be monic of degree >= 1 modulo p")
-    dtype = np.int64 if p < _NP_MAX_MOD else object
-    a, b = np.array(a, dtype=dtype), np.array(normalize([c % p for c in g]), dtype=dtype)
-    if not len(b):
+    a = a[: nz[-1] + 1]
+    nz = (b != 0).nonzero()[0]
+    if not len(nz):
         return 0
-    k = int(np.flatnonzero(b)[0])
-    f0 = int(a[0])
+    k, f0 = int(nz[0]), int(a[0])
     res = pow(-f0 if (len(a) - 1) & 1 else f0, k, p)
-    b = b[k:]
+    b = b[k : nz[-1] + 1]
     while True:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:

@@ -36,8 +36,7 @@ import numpy as np
 
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, primes_upto
-from .poly import _NP_MAX_MOD, _all_ones_residues, psi_poly
-from .poly import resultant_exact, resultant_mod_p
+from .poly import _NP_MAX_MOD, _all_ones_residues, _row_dtype, psi_poly, resultant_exact, resultant_mod_p
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ def _lcm_mod(n: int, mod: int, skip: int = 0) -> int:
     return out
 
 
-def _reduced_coeffs_mod(n: int, ell: int) -> list[int]:
-    """A_n mod ell without constructing any big integers.
+def _reduced_coeffs_mod(n: int, ell: int) -> np.ndarray:
+    """A_n mod ell as a row of _row_dtype(ell), without any big integers.
 
     Writes L = ell^E * U with U coprime to ell; then L/j mod ell is 0
     unless ell^E | j, in which case it is U / (j / ell^E) mod ell.  The
@@ -104,12 +103,15 @@ def _reduced_coeffs_mod(n: int, ell: int) -> list[int]:
     m = n // shift
     prefix = list(accumulate(range(1, m + 1), lambda x, j: x * j % ell, initial=1))
     acc = U * pow(prefix[m], -1, ell) % ell  # U / m!
-    term = [0] * (n + 1)  # term[j] = L / j mod ell
+    inv = [0] * (m + 1)  # inv[j] = U / j = L / (j * ell^E) mod ell
     for j in range(m, 0, -1):
-        term[j * shift] = acc * prefix[j - 1] % ell  # U / j
+        inv[j] = acc * prefix[j - 1] % ell
         acc = acc * j % ell
-    t_last = term[n - 1]
-    return [(term[1] + term[n] - t_last) % ell] + [(t - t_last) % ell for t in term[1 : n - 1]]
+    t = 0 if (n - 1) % shift else inv[(n - 1) // shift]  # L / (n - 1) mod ell
+    term = np.full(n + 1, -t % ell, dtype=_row_dtype(ell))  # term[k] = L/k - L/(n-1) mod ell
+    term[shift::shift] = [(c - t) % ell for c in inv[1:]]
+    term[0] = (term[1] + term[n] + t) % ell  # a_0 = L + L/n - L/(n-1)
+    return term[: n - 1]
 
 
 def p_n_mod(n: int, ell: int) -> int:
@@ -127,10 +129,10 @@ def p_n_mod(n: int, ell: int) -> int:
         return resultant_mod_p(psi_poly(n), A, ell)
     s = ell ** floor_log(ell, n)
     B = A[::s]
-    if len(A) - A.count(0) != len(B) - B.count(0):
+    if np.count_nonzero(A) != np.count_nonzero(B):
         raise ArithmeticError(f"A_{n} mod {ell} has a nonzero coefficient off the multiples of {s}")
     n1 = n // ell ** int_valuation(n, ell)
-    if sum(B) % ell == 0:
+    if B.sum() % ell == 0:
         return 0
     return resultant_mod_p(psi_poly(n1), B, ell) if n1 > 1 else 1
 

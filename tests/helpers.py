@@ -1,8 +1,8 @@
-"""Helpers that only the tests need: polynomial product and evaluation,
-the independent PRS oracle (resultant_prs over Z, and disc F_n from its
-defining resultant), the p-adic valuation of a rational, P_n mod ell by
-the dense Euclid, and the paper's closed-form residues of P_n on the
-three theorem routes.
+"""Helpers that only the tests need: polynomial lists (normalize,
+product and evaluation), the independent PRS oracle (resultant_prs over
+Z, and disc F_n from its defining resultant), the p-adic valuation of a
+rational, P_n mod ell by the dense Euclid, and the paper's closed-form
+residues of P_n on the three theorem routes.
 
 theorem_route picks those routes from the shape of n; the tests check
 each formula against Euclid (dense_p_n_mod) and that it is nonzero on
@@ -11,11 +11,20 @@ every n of its route.
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from logdisc.arith import factorize, harmonic, int_valuation, is_prime, lcm_upto
 from logdisc.certify import bertrand_prime
-from logdisc.poly import IntPoly, normalize, psi_poly, resultant_mod_p
+from logdisc.poly import psi_poly, resultant_mod_p
 from logdisc.trunclog import _lcm_mod, _reduced_coeffs_mod, disc_sign, f_tilde, in_exceptional_set, x_of
+
+
+def normalize(coeffs: list[int]) -> list[int]:
+    """Strip trailing zeros; the zero polynomial becomes []."""
+    k = len(coeffs)
+    while k and coeffs[k - 1] == 0:
+        k -= 1
+    return list(coeffs[:k])
 
 
 def poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -36,7 +45,7 @@ def poly_eval(p: list, x):
     return acc
 
 
-def degree(p: IntPoly) -> int:
+def degree(p: list[int]) -> int:
     """Degree, with the zero polynomial at -1."""
     return len(p) - 1
 
@@ -68,8 +77,10 @@ def resultant_prs(f: list[int], g: list[int]) -> int:
     """Res(f, g) over Z by the subresultant pseudo-remainder sequence.
 
     Independent of the modular machinery of logdisc.poly: pure integer pseudo-
-    division with the classical content/sign bookkeeping.
+    division with the classical content/sign bookkeeping.  Takes lists of
+    Python ints only: on an int64 row the products would overflow silently.
     """
+    assert all(isinstance(c, int) for c in chain(f, g)), "resultant_prs takes lists of Python ints"
     A = normalize(f)
     B = normalize(g)
     if not A or not B:
@@ -117,7 +128,7 @@ def disc_from_definition(n: int) -> Fraction:
     if n < 2:
         raise ValueError(f"disc_from_definition requires n >= 2, got {n}")
     L = lcm_upto(n)
-    r = resultant_prs(f_tilde(n), psi_poly(n))
+    r = resultant_prs(f_tilde(n), [1] * n)
     # Res(F_n, F_n') = r / L^(n-1) and the leading coefficient 1/n
     # contributes a factor n
     return Fraction(disc_sign(n) * n * r, L ** (n - 1))
@@ -133,7 +144,7 @@ def off_stride(reduced_coeffs_mod):
     """reduced_coeffs_mod with a nonzero x^1 coefficient at ell | n, where
     A_n mod ell must be a polynomial in x^s for s = ell^floor(log_ell n) >= 2."""
 
-    def corrupt(n: int, ell: int) -> list[int]:
+    def corrupt(n: int, ell: int):
         A = reduced_coeffs_mod(n, ell)
         if n % ell == 0:
             A[1] = (A[1] + 1) % ell

@@ -10,19 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logdisc.poly as poly
-from helpers import degree, poly_eval, poly_mul, resultant_prs
+from helpers import degree, normalize, poly_eval, poly_mul, resultant_prs
 from logdisc.arith import factorize, is_prime
 from logdisc.poly import (
     _WORD_PRIME_TOP,
     _descending_primes_1_mod_n,
     _order_n_root,
     _unity_dft,
-    normalize,
     psi_poly,
     resultant_exact,
     resultant_mod_p,
 )
-from logdisc.trunclog import p_n_exact
+from logdisc.trunclog import f_tilde, p_n_exact
 
 
 def random_poly(rng, deg, lead_one=False, cmax=50):
@@ -46,8 +45,9 @@ def test_poly_mul_and_eval():
 
 
 def test_psi_poly():
-    assert psi_poly(2) == [1, 1]
-    assert psi_poly(5) == [1, 1, 1, 1, 1]
+    for n in (2, 5):
+        row = psi_poly(n)
+        assert row.dtype == np.int64 and row.tolist() == [1] * n
     with pytest.raises(ValueError):
         psi_poly(1)
 
@@ -106,6 +106,17 @@ def test_resultant_mod_p_matches_prs():
         want = resultant_prs(f, g)
         for p in primes:
             assert resultant_mod_p(f, g, p) == want % p
+
+
+def test_resultant_mod_p_reduces_big_coefficients_exactly():
+    # L * F_43 mixes coefficients in [2^63, 2^64) with small ones, where
+    # np.asarray infers float64: a list must be reduced by Python ints,
+    # at an int64 modulus and at an object one
+    g = f_tilde(43)
+    assert any(1 << 63 <= c < 1 << 64 for c in g) and np.asarray(g).dtype == np.float64
+    want = resultant_prs([1] * 43, g)
+    for p in ((1 << 31) - 1, (1 << 61) - 1):
+        assert resultant_mod_p(psi_poly(43), g, p) == want % p, p
 
 
 def test_resultant_mod_p_degree_drop_in_g():
@@ -178,8 +189,13 @@ def test_resultant_mod_p_low_zero_coefficients(data):
     assert got == resultant_prs(f, g) % p
     if shared:
         assert got == 0
-    # the in-place remainder step must work on copies of the caller's lists
-    assert f == f0 and g == g0
+    # int64 rows of the same coefficients take the vectorized reduction
+    # below 2^31 and the Python one above it, to the same value
+    F, G = np.array(f, dtype=np.int64), np.array(g, dtype=np.int64)
+    assert resultant_mod_p(F, G, p) == got
+    # the in-place remainder step must work on copies of the caller's
+    # lists and arrays
+    assert f == f0 and g == g0 and F.tolist() == f0 and G.tolist() == g0
 
 
 def eager_polymod(a, b, p):
@@ -280,14 +296,14 @@ def test_resultant_exact_matches_prs_random():
     for _ in range(100):
         n = rng.randrange(2, 10)
         g = random_poly(rng, rng.randrange(0, 9))
-        assert resultant_exact(n, g) == resultant_prs(psi_poly(n), g), (n, g)
+        assert resultant_exact(n, g) == resultant_prs([1] * n, g), (n, g)
 
 
 def test_resultant_exact_all_ones_path_matches_prs():
     # exercises the roots-of-unity evaluation route
     rng = random.Random(2008)
     for n in (2, 3, 4, 6, 7, 12, 16, 21):
-        f = psi_poly(n)
+        f = [1] * n
         for _ in range(10):
             g = random_poly(rng, rng.randrange(0, n + 2), cmax=30)
             assert resultant_exact(n, g) == resultant_prs(f, g), (n, g)
@@ -310,7 +326,7 @@ def test_resultant_exact_euclid_tail_after_the_progression(monkeypatch):
 
     monkeypatch.setattr(poly, "resultant_mod_p", counted)
     rng = random.Random(601)
-    f = psi_poly(12)
+    f = [1] * 12
     for _ in range(5):
         g = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(rng.randrange(2, 15))]
         euclid.clear()
@@ -518,7 +534,7 @@ def test_unity_dft_coefficients_past_one_matmul_chunk():
 def test_resultant_exact_all_ones_property(data):
     n = data.draw(st.integers(2, 60))
     g = data.draw(st.lists(st.integers(-(1 << 70), 1 << 70), max_size=n + 3))
-    assert resultant_exact(n, g) == resultant_prs(psi_poly(n), g)
+    assert resultant_exact(n, g) == resultant_prs([1] * n, g)
 
 
 def test_resultant_exact_check_prime_catches_a_wrong_residue(monkeypatch):
@@ -533,7 +549,7 @@ def test_resultant_exact_check_prime_catches_a_wrong_residue(monkeypatch):
 
     for n in (5, 12, 67):
         g = [10**6, 1] + [3] * (n - 2)
-        assert resultant_exact(n, g) == resultant_prs(psi_poly(n), g)
+        assert resultant_exact(n, g) == resultant_prs([1] * n, g)
         with monkeypatch.context() as m:
             m.setattr(poly, "_unity_dft", corrupted)
             with pytest.raises(ArithmeticError, match="disagrees"):

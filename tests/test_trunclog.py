@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     dense_p_n_mod,
     disc_from_definition,
+    normalize,
     off_stride,
     poly_mul,
     predicted_interval_residue,
@@ -27,7 +29,6 @@ from logdisc.arith import (
     primes_upto,
 )
 from logdisc.certify import Certificate, verify_certificate
-from logdisc.poly import normalize, psi_poly
 from logdisc.trunclog import (
     _lcm_mod,
     _reduced_coeffs_mod,
@@ -105,8 +106,8 @@ def test_lcm_mod_matches_lcm_upto():
 
 
 def test_reduced_coeffs_small():
-    assert _reduced_coeffs_mod(2, M61) == [1]
-    assert _reduced_coeffs_mod(3, M61) == [5, 3]
+    assert _reduced_coeffs_mod(2, M61).tolist() == [1]
+    assert _reduced_coeffs_mod(3, M61).tolist() == [5, 3]
     assert _reduced_coeffs_mod(9, M61)[0] == 2520 + 280 - 315
     with pytest.raises(ValueError):
         p_n_mod(1, M61)
@@ -114,7 +115,7 @@ def test_reduced_coeffs_small():
 
 def test_reduced_coeffs_divisions_exact():
     for n in range(2, 60):
-        a = _reduced_coeffs_mod(n, M61)
+        a = _reduced_coeffs_mod(n, M61).tolist()
         L = lcm_upto(n)
         assert len(a) == n - 1 and a[-1] != 0
         # direct identity: a_0 = L + L/n - L/(n-1), a_k = L/k - L/(n-1)
@@ -138,8 +139,8 @@ def test_reduction_identity():
         L = lcm_upto(n)
         quotient = [L // (n - 1) - L // n, L // n]
         lhs = f_tilde(n)
-        a = _reduced_coeffs_mod(n, M61)
-        prod = poly_mul(psi_poly(n), quotient)
+        a = _reduced_coeffs_mod(n, M61).tolist()
+        prod = poly_mul([1] * n, quotient)
         rhs = [c + (a[i] if i < len(a) else 0) for i, c in enumerate(prod)]
         assert normalize(rhs) == normalize(lhs), n
 
@@ -155,7 +156,7 @@ def test_p_n_exact_matches_unreduced_resultant():
     # same value straight from Res(Psi_n, L*F_n), computed by the
     # integer PRS -- no reduction step, no CRT, no shared code path
     for n in range(2, 26):
-        assert p_n_exact(n) == resultant_prs(psi_poly(n), f_tilde(n))
+        assert p_n_exact(n) == resultant_prs([1] * n, f_tilde(n))
 
 
 def test_p_n_mod_matches_exact():
@@ -169,14 +170,17 @@ def test_p_n_mod_matches_exact():
 @pytest.mark.parametrize("n", list(range(2, 41)) + [64, 243, 1000, 1024])
 def test_reduced_coeffs_mod_matches_exact(n):
     # every prime ell <= n + 5, so ell > n, ell^E > 1 and ell | n all
-    # occur, ell = 2 among them, and two primes near 2^61.  A_n is L * F_n
+    # occur, ell = 2 among them; the last int64 modulus 2^31 - 1 and the
+    # first object one 2^31 + 11; and two primes near 2^61.  A_n is L * F_n
     # reduced mod Psi_n: x^n = 1, then x^(n-1) = -(1 + x + ... + x^(n-2))
     exact = f_tilde(n)
     exact[0] += exact.pop()
     top = exact.pop()
     exact = [c - top for c in exact]
-    for ell in primes_upto(n + 5) + [M61, 2305843009212694027]:
-        assert _reduced_coeffs_mod(n, ell) == [c % ell for c in exact], (n, ell)
+    for ell in primes_upto(n + 5) + [(1 << 31) - 1, (1 << 31) + 11, M61, 2305843009212694027]:
+        row = _reduced_coeffs_mod(n, ell)
+        assert row.dtype == (np.int64 if ell < 1 << 31 else object), (n, ell)
+        assert row.tolist() == [c % ell for c in exact], (n, ell)
 
 
 def test_p_n_mod_rejects_composite_modulus():
@@ -381,7 +385,7 @@ def test_disc_is_sign_n_res_of_derivative_and_c():
     for n in range(2, 41):
         L = lcm_upto(n)
         lc = [L + L // n] + [L // j for j in range(1, n)]
-        res = Fraction(resultant_prs(psi_poly(n), lc), L ** (n - 1))
+        res = Fraction(resultant_prs([1] * n, lc), L ** (n - 1))
         assert disc_exact(n).exact == disc_sign(n) * n * res, n
 
 
