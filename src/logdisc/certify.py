@@ -22,7 +22,8 @@ kinds, among them odd_prime_power_valuation (n = p^e) and split_theorem
 (n = m*q) that older files hold, by one rule (prime r, odd frame
 valuation, P_n mod r nonzero by p_n_mod: at r | n the divisor lemma on
 its own row A_n mod r, sharing no code with p_n_mod_at_divisor), never
-consults E_m, and takes a witness at any prime n < ell < 2^31.
+consults E_m, and takes a witness at any prime n < ell < 2^31: by its
+own DFT (disc_mod) at ell = 1 (mod n), by Euclid at older files' ell.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         if n < 2:
             return "witness route needs n >= 2"
         # the bound of witness_search: it keeps is_prime a proof and
-        # disc_mod's Euclid on int64
+        # disc_mod on int64, by its DFT or its Euclid
         if ell >= _NP_MAX_MOD:
             return f"witness modulus has {ell.bit_length()} bits; it must lie below 2^31"
         if ell <= n or not is_prime(ell):

@@ -58,7 +58,8 @@ def build_parser() -> _Parser:
     p_disc.add_argument("n", type=_positive_int)
     mode = p_disc.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="print only the exact rational")
-    mode.add_argument("--mod", type=_positive_int, metavar="L", help="residue mod a prime L > n")
+    mode.add_argument("--mod", type=_positive_int, metavar="L",
+                      help="residue mod a prime L > n, by a DFT at L = 1 (mod n) below 2^31, else Euclid")
 
     p_pn = sub.add_parser("pn", help="the integer resultant P_n")
     p_pn.add_argument("n", type=_positive_int)

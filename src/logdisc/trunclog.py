@@ -187,7 +187,8 @@ def disc_exact(n: int) -> DiscReport:
 
 
 def disc_mod(n: int, ell: int) -> int:
-    """disc F_n mod ell for a prime ell > n (so the frame is invertible); disc F_1 = 1."""
+    """disc F_n mod ell for a prime ell > n (so the frame is invertible); disc F_1 = 1.
+    By the DFT of _split_product at ell = 1 (mod n) below 2^31, else by Euclid."""
     if n < 1:
         raise ValueError(f"disc_mod requires n >= 1, got {n}")
     if ell <= n:
@@ -196,8 +197,49 @@ def disc_mod(n: int, ell: int) -> int:
         raise ValueError(f"modulus must be prime, got {ell}")
     if n == 1:
         return 1
+    if ell % n == 1 and ell < _NP_MAX_MOD:
+        return disc_sign(n) * n * _split_product(n, ell) % ell
     frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
     return disc_sign(n) * frame * p_n_mod(n, ell) % ell
+
+
+def _split_product(n: int, ell: int) -> int:
+    """prod_(k=1..n-1) c(zeta^k) mod a prime ell = 1 (mod n) below 2^31, for
+    c as in disc_mod_dft, zeta = g^((ell-1)/n) and the least g with
+    zeta^(n/q) != 1 at each prime q | n.  Its mixed-radix DFT, sharing no
+    code with disc_mod_dft's, splits rows by the least prime q | n into q
+    strided rows, recurses at zeta^q and joins them by Horner in zeta^k:
+    n * (sum of the prime factors of n) products of two residues < 2^31.
+    """
+    qs = factorize(n)
+    g, d = 2, (ell - 1) // n
+    while any(pow(g, (ell - 1) // q, ell) == 1 for q in qs):  # zeta^(n/q) = g^((ell-1)/q)
+        g += 1
+    pw = np.ones(n, dtype=np.int64)  # zeta^k, filled by doubling
+    for k in (1 << i for i in range((n - 1).bit_length())):
+        pw[k : 2 * k] = pw[: min(k, n - k)] * pow(g, d * k, ell) % ell
+    inv = [0, 1]  # 1/j = -(ell // j) * 1/(ell mod j)
+    for j in range(2, n + 1):
+        inv.append((ell - ell // j) * inv[ell % j] % ell)
+
+    def dft(a: np.ndarray, t: int, radices: list[int]) -> np.ndarray:
+        s, N = a.shape  # rows a[i] of length N at w^k, k < N, for w = zeta^t of order N
+        if N == 1:
+            return a
+        q, m = radices[0], N // radices[0]
+        y = dft(a.reshape(s, m, q).swapaxes(1, 2).reshape(s * q, m), t * q, radices[1:]).reshape(s, q, m)
+        w = pw[t * np.arange(N) % n].reshape(q, m)  # X[u*m + v] = sum_j w^(j*(u*m + v)) * y[j, v]
+        acc = y[:, q - 1 :]  # broadcast over u from the first step
+        for j in range(q - 2, -1, -1):
+            acc = (acc * w + y[:, j : j + 1]) % ell
+        return acc.reshape(s, N)
+
+    c = np.array([(1 + inv[n]) % ell] + inv[1:n], dtype=np.int64)
+    v = dft(c[None, :], 1, [q for q, e in sorted(qs.items()) for _ in range(e)])[0, 1:]
+    while len(v) > 1:  # pairwise, to stay inside int64
+        h = len(v) // 2
+        v = np.concatenate([v[:h] * v[h : 2 * h] % ell, v[2 * h :]])
+    return int(v[0])
 
 
 def disc_mod_dft(n: int, ell: int) -> int:

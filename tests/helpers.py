@@ -1,8 +1,8 @@
 """Helpers that only the tests need: polynomial lists (normalize,
 product and evaluation), the independent PRS oracle (resultant_prs over
 Z, and disc F_n from its defining resultant), the p-adic valuation of a
-rational, P_n mod ell by the dense Euclid, and the paper's closed-form
-residues of P_n on the three theorem routes.
+rational, P_n and disc F_n mod ell by the dense Euclid, and the paper's
+closed-form residues of P_n on the three theorem routes.
 
 theorem_route picks those routes from the shape of n; the tests check
 each formula against Euclid (dense_p_n_mod) and that it is nonzero on
@@ -138,6 +138,13 @@ def dense_p_n_mod(n: int, ell: int) -> int:
     """P_n mod a prime ell by Euclid on (psi_n, A_n mod ell) at every ell,
     ell | n included: the reference for p_n_mod's stride at ell | n."""
     return resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
+
+
+def dense_disc_mod(n: int, ell: int) -> int:
+    """disc F_n mod a prime ell > n as sign * n * L^-(n-1) * dense_p_n_mod:
+    the Euclid reference for disc_mod's DFT at ell = 1 (mod n)."""
+    frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
+    return disc_sign(n) * frame * dense_p_n_mod(n, ell) % ell
 
 
 def off_stride(reduced_coeffs_mod):

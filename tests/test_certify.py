@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 import sympy
 
-from helpers import rat_valuation
+from helpers import dense_disc_mod, rat_valuation
 from logdisc.arith import is_prime, is_rational_square
 from logdisc.certify import (
     Certificate,
@@ -56,7 +56,7 @@ def test_nearest_prime_witnesses_still_verify():
 
 def test_witness_search_scans_in_order():
     # replay the scan over the primes ell = 1 (mod n) by hand, with the
-    # euclidean disc_mod, and confirm the first hit is returned
+    # dense Euclid, and confirm the first hit is returned
     from logdisc.arith import legendre_symbol
 
     for n in (9, 25, 33, 49, 121, 165):
@@ -66,9 +66,9 @@ def test_witness_search_scans_in_order():
         assert ell % n == 1
         for probe in range(n + 1, ell, n):
             if is_prime(probe):
-                r = disc_mod(n, probe)
+                r = dense_disc_mod(n, probe)
                 assert r == 0 or legendre_symbol(r, probe) == 1, (n, probe)
-        assert disc_mod(n, ell) == res
+        assert dense_disc_mod(n, ell) == res
         assert legendre_symbol(res, ell) == -1
 
 
@@ -447,6 +447,57 @@ def test_verify_witness_modulus_lies_below_two_to_the_31(monkeypatch):
     assert verify_failure(33, Certificate("non_residue_witness", ell=ell, residue=r + 1)) == (
         f"disc F_33 mod {ell} is not {r + 1}"
     )
+
+
+@pytest.mark.parametrize(
+    "n, ell, residue, reason",
+    [
+        # ell = 1 (mod n), where disc_mod takes its own DFT: 199 is the
+        # witness of 33 (residue 39); disc F_33 is a square mod 331 and
+        # vanishes mod 67
+        (33, 199, 40, "disc F_33 mod 199 is not 40"),
+        (33, 199, 4, "disc F_33 mod 199 is not 4"),
+        (33, 199, 0, "disc F_33 mod 199 is not 0"),
+        (33, 331, 241, "241 is not a non-residue mod 331"),
+        (33, 67, 0, "0 is not a non-residue mod 67"),
+        # ell != 1 (mod n), where it keeps Euclid: 37 is the nearest-prime
+        # witness of 33 (residue 14); disc F_33 is a square mod 43, and
+        # disc F_25 vanishes mod 31
+        (33, 37, 15, "disc F_33 mod 37 is not 15"),
+        (33, 37, 4, "disc F_33 mod 37 is not 4"),
+        (33, 37, 0, "disc F_33 mod 37 is not 0"),
+        (33, 43, 36, "36 is not a non-residue mod 43"),
+        (25, 31, 0, "0 is not a non-residue mod 31"),
+    ],
+)
+def test_verify_rejects_tampered_witnesses_on_both_paths(n, ell, residue, reason):
+    assert verify_failure(n, Certificate("non_residue_witness", ell=ell, residue=residue)) == reason
+
+
+def test_verify_checks_witnesses_without_the_producer_dft(tmp_path, monkeypatch):
+    # the verifier's DFT at ell = 1 (mod n) is its own: a sweep with
+    # witness records verifies through the console command with every
+    # DFT kernel of the producer made to raise (5..400 leaves out n = 4,
+    # whose exact record the exact kernel checks by design)
+    import logdisc.certify as certify_mod
+    import logdisc.poly as poly_mod
+    import logdisc.trunclog as trunclog_mod
+    from logdisc.cli import cmd_dispatch
+
+    path = tmp_path / "s.jsonl"
+    run_sweep(SweepConfig(5, 400, out=str(path)))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    witnesses = [r for r in records if r["certificate"]["type"] == "non_residue_witness"]
+    assert len(witnesses) == 10 and all(int(r["certificate"]["ell"]) % r["n"] == 1 for r in witnesses)
+
+    def no_kernel(*args):
+        raise AssertionError("producer DFT reached")
+
+    for mod, name in ((poly_mod, "_dft"), (poly_mod, "_unity_dft"), (poly_mod, "_all_ones_residues"),
+                      (trunclog_mod, "_all_ones_residues"), (trunclog_mod, "disc_mod_dft"),
+                      (certify_mod, "disc_mod_dft")):
+        monkeypatch.setattr(mod, name, no_kernel)
+    assert cmd_dispatch(["verify", str(path)]) == 0
 
 
 def _relabel_to_theorem_kinds(rec):

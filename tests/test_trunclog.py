@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dense_disc_mod,
     dense_p_n_mod,
     disc_from_definition,
     normalize,
@@ -345,6 +346,44 @@ def test_disc_mod_matches_exact_reduction_property(n, k, j, t):
         assert disc_mod(n, ell) == d.numerator * pow(d.denominator, -1, ell) % ell, (n, ell)
 
 
+# disc_mod takes its own DFT at ell = 1 (mod n) below 2^31: n in every
+# class mod 4, prime n (one radix), prime powers and n with many small
+# factors, each at the first two primes ell = 1 (mod n), against Euclid
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3000))
+@example(2)
+@example(9)
+@example(2999)
+@example(2048)
+@example(2310)
+@example(2187)
+def test_disc_mod_split_path_matches_dense_euclid(n):
+    ells = (ell for ell in range(n + 1, 1 << 31, n) if is_prime(ell))
+    for ell in (next(ells), next(ells)):
+        assert disc_mod(n, ell) == dense_disc_mod(n, ell), (n, ell)
+
+
+def test_disc_mod_split_path_stops_below_two_to_the_31(monkeypatch):
+    # 2^31 - 1 = 1 (mod 33) takes the DFT, 2147483713 = 1 (mod 33) above
+    # 2^31 the object-row Euclid; both values are pinned from Euclid
+    import logdisc.trunclog as trunclog
+
+    real, calls = trunclog._split_product, []
+
+    def recording(n, ell):
+        calls.append(ell)
+        return real(n, ell)
+
+    monkeypatch.setattr(trunclog, "_split_product", recording)
+    assert disc_mod(33, 2147483647) == 490486654
+    assert calls == [2147483647]
+    assert disc_mod(33, 2147483713) == 1404554637
+    assert calls == [2147483647]
+    # and no DFT at a prime ell != 1 (mod n)
+    assert disc_mod(333, 337) == 157
+    assert calls == [2147483647]
+
+
 def test_disc_mod_pinned_values():
     assert disc_mod(33, 37) == 14
     assert disc_mod(77, 79) == 39
@@ -369,12 +408,13 @@ def test_disc_mod_pinned_values():
 @example(2, 2147483646)
 def test_disc_mod_dft_matches_disc_mod(n, t):
     # the first prime ell = 1 (mod n) above t and n; n = 22 takes 23,
-    # 2999 takes 23993
+    # 2999 takes 23993.  The reference is the dense Euclid that disc_mod
+    # ran there before it took a DFT of its own
     ell = t - t % n + 1
     while ell <= n or not is_prime(ell):
         ell += n
     assume(ell < 1 << 31)
-    assert disc_mod_dft(n, ell) == disc_mod(n, ell)
+    assert disc_mod_dft(n, ell) == dense_disc_mod(n, ell)
 
 
 def test_disc_is_sign_n_res_of_derivative_and_c():
@@ -396,7 +436,7 @@ def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
     import logdisc.trunclog as trunclog
 
     ells = [ell for ell in range(334, 20000, 333) if is_prime(ell)][:4]
-    want = [disc_mod(333, ell) for ell in ells]
+    want = [dense_disc_mod(333, ell) for ell in ells]
 
     def forbidden(*args):
         raise AssertionError("a forbidden path ran")
