@@ -13,17 +13,19 @@ claim from scratch.  Routes, in the order tried:
                               unresolved if no witness turns up within
                               max_witness_attempts primes
 
-The producer runs no Euclid of degree n: the interval route is chosen
-from the shape of n, the divisor route runs one small resultant
-(trunclog.p_n_mod_at_divisor), and witnesses are primes ell = 1 (mod n),
+The producer runs no Euclid of degree n and never computes L: the
+interval route is chosen from the shape of n, the divisor route asks
+by one small resultant whether P_n is a unit mod p
+(trunclog.p_n_unit_at_divisor), and witnesses are primes ell = 1 (mod n),
 where a DFT over the n-th roots of unity gives disc F_n mod ell straight
 from the coefficients of F_n.  verify_failure checks the four valuation
 kinds, among them odd_prime_power_valuation (n = p^e) and split_theorem
 (n = m*q) that older files hold, by one rule (prime r, odd frame
 valuation, P_n mod r nonzero by p_n_mod: at r | n the divisor lemma on
-its own row A_n mod r, sharing no code with p_n_mod_at_divisor), never
-consults E_m, and takes a witness at any prime n < ell < 2^31: by its
-own DFT (disc_mod) at ell = 1 (mod n), by Euclid at older files' ell.
+its own row A_n / U mod r, sharing no code with p_n_unit_at_divisor),
+never consults E_m, and takes a witness at any prime n < ell < 2^31 from
+the row A_n / L: by its own DFT (disc_mod) at ell = 1 (mod n), by Euclid
+at older files' ell.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import islice
 
 from .arith import factorize, is_prime, is_rational_square, legendre_symbol, next_prime
 from .poly import _NP_MAX_MOD
-from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, p_n_mod, p_n_mod_at_divisor
+from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, p_n_mod, p_n_unit_at_divisor
 
 # nothing here calls in_exceptional_set; the name stays bound because
 # perfbench traces certify.in_exceptional_set
@@ -138,7 +140,7 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     # n = 1 (mod 4)
     fac = factorize(n)
     for p in sorted((p for p, e in fac.items() if e & 1), reverse=True):
-        if p_n_mod_at_divisor(n, p):
+        if p_n_unit_at_divisor(n, p):
             return Certificate("divisor_valuation", p=p, e=fac[p])
 
     found = witness_search(n, cfg.max_witness_attempts)

@@ -198,6 +198,8 @@ def cmd_dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "sweep" and args.start > args.stop:
+            parser.error(f"empty range: {args.start} > {args.stop}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -119,7 +119,7 @@ def resultant_mod_p(f: list[int] | np.ndarray, g: list[int] | np.ndarray, p: int
         a, b = b, r
 
 
-_WORD_PRIME_TOP = (1 << 31) - 1
+_WORD_PRIME_TOP = _NP_MAX_MOD - 1
 # candidates per sieve segment: the first is small, so a caller that
 # needs a prime or two pays for little more, and each next one doubles
 _SEGMENT_FIRST = 64

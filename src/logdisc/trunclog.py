@@ -18,9 +18,10 @@ roots of unity, where L * F_n agrees with its reduced remainder
 
 so P_n = Res(1 + x + ... + x^(n-1), A_n) as well.  The exact route
 evaluates L * F_n (f_tilde) folded mod x^n - 1.  A_n is built only mod a
-prime ell, for p_n_mod, which also runs at primes ell <= n, where 1/k
-mod ell does not exist and L * F_n has no row of inverses; at ell | n
-it takes a small resultant of the row's stride (the divisor lemma).
+prime ell and up to the unit U = L / ell^E, as the row A_n / U (F_n mod
+the derivative when ell > n); L enters only P_n's own value, in p_n_mod,
+and cancels in disc_mod.  At ell | n the divisor lemma takes a small
+resultant of the row's stride, p_n_unit_at_divisor one of its own.
 The witness search takes disc F_n mod ell from F_n itself, as
 sign * n * Res(F_n', F_n), with no L or A_n (see disc_mod_dft).
 """
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -78,85 +78,76 @@ def p_n_exact(n: int) -> int:
     return resultant_exact(n, f_tilde(n))
 
 
-def _lcm_mod(n: int, mod: int, skip: int = 0) -> int:
-    """Product of maximal prime powers <= n, mod `mod`, optionally
-    skipping the prime `skip` entirely; a prime above sqrt(n) enters once."""
+def _lcm_mod(n: int, ell: int) -> int:
+    """U = L / ell^E mod ell for L = lcm(1..n) = ell^E * U: the maximal prime
+    powers <= n but ell's (U = L when ell > n); a prime above sqrt(n) enters once."""
     out = 1
     for p in primes_upto(n):
-        if p == skip:
-            continue
-        out = out * (p if p * p > n else p ** floor_log(p, n)) % mod
+        if p != ell:
+            out = out * (p if p * p > n else p ** floor_log(p, n)) % ell
     return out
 
 
 def _reduced_coeffs_mod(n: int, ell: int) -> np.ndarray:
-    """A_n mod ell as a row of _row_dtype(ell), without any big integers.
+    """A_n / U mod ell as a row of _row_dtype(ell), for L = ell^E * U with U
+    coprime to ell: the row F_n mod psi_n when ell > n, and no L is computed.
 
-    Writes L = ell^E * U with U coprime to ell; then L/j mod ell is 0
-    unless ell^E | j, in which case it is U / (j / ell^E) mod ell.  The
-    quotients j / ell^E <= m = n // ell^E < ell are inverted together by
-    Montgomery's trick: prefix products, one inverse, a backward pass.
+    (L/j) / U = ell^E / j is 0 mod ell unless ell^E | j, and then 1 / (j / ell^E);
+    the quotients up to m = n // ell^E < ell are inverted by the recurrence
+    1/j = -(ell // j) * 1/(ell mod j), from ell = (ell // j) * j + ell mod j.
     """
-    E = floor_log(ell, n) if ell <= n else 0
-    U = _lcm_mod(n, ell, skip=ell)
-    shift = ell**E
-    m = n // shift
-    prefix = list(accumulate(range(1, m + 1), lambda x, j: x * j % ell, initial=1))
-    acc = U * pow(prefix[m], -1, ell) % ell  # U / m!
-    inv = [0] * (m + 1)  # inv[j] = U / j = L / (j * ell^E) mod ell
-    for j in range(m, 0, -1):
-        inv[j] = acc * prefix[j - 1] % ell
-        acc = acc * j % ell
-    t = 0 if (n - 1) % shift else inv[(n - 1) // shift]  # L / (n - 1) mod ell
-    term = np.full(n + 1, -t % ell, dtype=_row_dtype(ell))  # term[k] = L/k - L/(n-1) mod ell
-    term[shift::shift] = [(c - t) % ell for c in inv[1:]]
+    shift = ell ** floor_log(ell, n) if ell <= n else 1
+    inv = [0, 1]
+    for j in range(2, n // shift + 1):
+        inv.append((ell - ell // j) * inv[ell % j] % ell)
+    t = 0 if (n - 1) % shift else inv[(n - 1) // shift]  # (L/(n-1)) / U mod ell
+    term = np.full(n + 1, -t % ell, dtype=_row_dtype(ell))  # term[k] = (L/k - L/(n-1)) / U
+    term[shift::shift] = (np.array(inv[1:], dtype=term.dtype) - t) % ell
     term[0] = (term[1] + term[n] + t) % ell  # a_0 = L + L/n - L/(n-1)
     return term[: n - 1]
 
 
 def p_n_mod(n: int, ell: int) -> int:
-    """P_n mod ell for prime ell, with no big-integer intermediates.
-
-    Euclid on (psi_n, A_n mod ell); at ell | n, the lemma of
-    p_n_mod_at_divisor on B = A_n[::s], once A_n mod ell = B(x^s) is checked.
-    """
+    """P_n mod a prime ell as U^(k-1) * Res(psi_k, B), U = _lcm_mod(n, ell): the
+    one use of L, as Res(psi_k, U * B) = U^(k-1) * Res(psi_k, B).  k = n and B
+    is the row A_n / U mod ell; at ell | n, the lemma of p_n_unit_at_divisor
+    on k = n' and B = row[::s], once the row is checked to be B(x^s)."""
     if n < 2:
         raise ValueError(f"p_n_mod requires n >= 2, got {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    A = _reduced_coeffs_mod(n, ell)
-    if n % ell:
-        return resultant_mod_p(psi_poly(n), A, ell)
-    s = ell ** floor_log(ell, n)
-    B = A[::s]
-    if np.count_nonzero(A) != np.count_nonzero(B):
-        raise ArithmeticError(f"A_{n} mod {ell} has a nonzero coefficient off the multiples of {s}")
-    n1 = n // ell ** int_valuation(n, ell)
-    if B.sum() % ell == 0:
-        return 0
-    return resultant_mod_p(psi_poly(n1), B, ell) if n1 > 1 else 1
+    A = B = _reduced_coeffs_mod(n, ell)
+    k = n
+    if n % ell == 0:
+        s = ell ** floor_log(ell, n)
+        B = A[::s]
+        if np.count_nonzero(A) != np.count_nonzero(B):
+            raise ArithmeticError(f"A_{n} mod {ell} has a nonzero coefficient off the multiples of {s}")
+        k = n // ell ** int_valuation(n, ell)
+        if B.sum() % ell == 0:
+            return 0
+        if k == 1:
+            return 1
+    return pow(_lcm_mod(n, ell), k - 1, ell) * resultant_mod_p(psi_poly(k), B, ell) % ell
 
 
-def p_n_mod_at_divisor(n: int, p: int) -> int:
-    """P_n mod a prime p | n by a resultant of degree <= max(n' - 1, (n - 2) // s).
+def p_n_unit_at_divisor(n: int, p: int) -> bool:
+    """Whether P_n != 0 mod a prime p | n, by a resultant of degree <= max(n' - 1, (n - 2) // s).
 
-    Mod p, with s = p^floor(log_p n) and U = L/s, A_n = B(x^s) for
-    B(y) = (U/(n/s) if s | n else 0) + sum_(1 <= j <= (n-2)/s) (U/j) y^j.
+    Mod p, with s = p^floor(log_p n) and L = s * U, A_n = U * B(x^s) for
+    B(y) = (1/(n/s) if s | n else 0) + sum_(1 <= j <= (n-2)/s) y^j / j.
     x^n - 1 = (x^n' - 1)^(p^v) with n' = n / p^v, v = v_p(n), and y -> y^s
-    permutes the n'-th roots of unity: P_n = Res(psi_n', B) if B(1) != 0, else 0.
+    permutes the n'-th roots of unity: P_n = U^(n'-1) * Res(psi_n', B) if
+    B(1) != 0, else 0, and the unit U is never computed.
     """
     if n < 2 or n % p:
-        raise ValueError(f"p_n_mod_at_divisor requires a prime divisor of n >= 2, got {p} for n = {n}")
+        raise ValueError(f"p_n_unit_at_divisor requires a prime divisor of n >= 2, got {p} for n = {n}")
     n1 = n // p ** int_valuation(n, p)
     if n1 == 1:
-        return 1  # n = s, and B = [U] is a unit
+        return True  # n = s, and B = [1]
     s = p ** floor_log(p, n)
-    U = _lcm_mod(n, p, skip=p)
-    B = [U * pow(n // s, -1, p) % p if n % s == 0 else 0]
-    B += [U * pow(j, -1, p) % p for j in range(1, (n - 2) // s + 1)]
-    if sum(B) % p == 0:
-        return 0
-    return resultant_mod_p(psi_poly(n1), B, p)
+    B = [pow(n // s, -1, p) if n % s == 0 else 0] + [pow(j, -1, p) for j in range(1, (n - 2) // s + 1)]
+    return sum(B) % p != 0 and resultant_mod_p(psi_poly(n1), B, p) != 0
 
 
 def frame_valuation(n: int, p: int) -> int:
@@ -187,7 +178,8 @@ def disc_exact(n: int) -> DiscReport:
 
 
 def disc_mod(n: int, ell: int) -> int:
-    """disc F_n mod ell for a prime ell > n (so the frame is invertible); disc F_1 = 1.
+    """disc F_n mod a prime ell > n as sign * n * Res(psi_n, A_n / L), L^(n-1)
+    cancelling in the frame, on _reduced_coeffs_mod's row; disc F_1 = 1.
     By the DFT of _split_product at ell = 1 (mod n) below 2^31, else by Euclid."""
     if n < 1:
         raise ValueError(f"disc_mod requires n >= 1, got {n}")
@@ -197,20 +189,21 @@ def disc_mod(n: int, ell: int) -> int:
         raise ValueError(f"modulus must be prime, got {ell}")
     if n == 1:
         return 1
-    if ell % n == 1 and ell < _NP_MAX_MOD:
-        return disc_sign(n) * n * _split_product(n, ell) % ell
-    frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
-    return disc_sign(n) * frame * p_n_mod(n, ell) % ell
+    row = _reduced_coeffs_mod(n, ell)
+    split = ell % n == 1 and ell < _NP_MAX_MOD
+    r = _split_product(np.append(row, 0), ell) if split else resultant_mod_p(psi_poly(n), row, ell)
+    return disc_sign(n) * n * r % ell
 
 
-def _split_product(n: int, ell: int) -> int:
+def _split_product(c: np.ndarray, ell: int) -> int:
     """prod_(k=1..n-1) c(zeta^k) mod a prime ell = 1 (mod n) below 2^31, for
-    c as in disc_mod_dft, zeta = g^((ell-1)/n) and the least g with
+    an int64 row c of length n, zeta = g^((ell-1)/n) and the least g with
     zeta^(n/q) != 1 at each prime q | n.  Its mixed-radix DFT, sharing no
     code with disc_mod_dft's, splits rows by the least prime q | n into q
     strided rows, recurses at zeta^q and joins them by Horner in zeta^k:
     n * (sum of the prime factors of n) products of two residues < 2^31.
     """
+    n = len(c)
     qs = factorize(n)
     g, d = 2, (ell - 1) // n
     while any(pow(g, (ell - 1) // q, ell) == 1 for q in qs):  # zeta^(n/q) = g^((ell-1)/q)
@@ -218,9 +211,6 @@ def _split_product(n: int, ell: int) -> int:
     pw = np.ones(n, dtype=np.int64)  # zeta^k, filled by doubling
     for k in (1 << i for i in range((n - 1).bit_length())):
         pw[k : 2 * k] = pw[: min(k, n - k)] * pow(g, d * k, ell) % ell
-    inv = [0, 1]  # 1/j = -(ell // j) * 1/(ell mod j)
-    for j in range(2, n + 1):
-        inv.append((ell - ell // j) * inv[ell % j] % ell)
 
     def dft(a: np.ndarray, t: int, radices: list[int]) -> np.ndarray:
         s, N = a.shape  # rows a[i] of length N at w^k, k < N, for w = zeta^t of order N
@@ -234,7 +224,6 @@ def _split_product(n: int, ell: int) -> int:
             acc = (acc * w + y[:, j : j + 1]) % ell
         return acc.reshape(s, N)
 
-    c = np.array([(1 + inv[n]) % ell] + inv[1:n], dtype=np.int64)
     v = dft(c[None, :], 1, [q for q, e in sorted(qs.items()) for _ in range(e)])[0, 1:]
     while len(v) > 1:  # pairwise, to stay inside int64
         h = len(v) // 2

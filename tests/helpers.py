@@ -134,10 +134,16 @@ def disc_from_definition(n: int) -> Fraction:
     return Fraction(disc_sign(n) * n * r, L ** (n - 1))
 
 
+def a_n_mod(n: int, ell: int) -> list[int]:
+    """A_n mod ell itself: U = _lcm_mod(n, ell) times the row A_n / U."""
+    return (_lcm_mod(n, ell) * _reduced_coeffs_mod(n, ell) % ell).tolist()
+
+
 def dense_p_n_mod(n: int, ell: int) -> int:
-    """P_n mod a prime ell by Euclid on (psi_n, A_n mod ell) at every ell,
-    ell | n included: the reference for p_n_mod's stride at ell | n."""
-    return resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
+    """P_n mod a prime ell by Euclid on (psi_n, A_n / U mod ell) at every ell,
+    ell | n included, times U^(n-1): the reference for p_n_mod's stride at ell | n."""
+    res = resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
+    return pow(_lcm_mod(n, ell), n - 1, ell) * res % ell
 
 
 def dense_disc_mod(n: int, ell: int) -> int:
@@ -177,7 +183,7 @@ def predicted_interval_residue(n: int, ell: int) -> int:
     the product of the maximal prime powers away from ell."""
     if n % 4 or not n // 2 < ell < n - 2 or not is_prime(ell):
         raise ValueError("predicted_interval_residue needs n = 0 (mod 4) and a prime ell in (n/2, n-2)")
-    return -pow(_lcm_mod(n, ell, skip=ell), n - 1, ell) % ell
+    return -pow(_lcm_mod(n, ell), n - 1, ell) % ell
 
 
 def predicted_prime_power_residue(p: int, e: int) -> int:
@@ -186,7 +192,7 @@ def predicted_prime_power_residue(p: int, e: int) -> int:
         raise ValueError("predicted_prime_power_residue needs prime p and e >= 1")
     n = p**e
     # L/n is the product of the maximal prime powers away from p
-    return pow(_lcm_mod(n, p, skip=p), n - 1, p)
+    return pow(_lcm_mod(n, p), n - 1, p)
 
 
 def predicted_split_residue(m: int, q: int) -> int:
@@ -200,7 +206,7 @@ def predicted_split_residue(m: int, q: int) -> int:
     if not is_prime(q) or q <= m or m < 2:
         raise ValueError("predicted_split_residue needs prime q > m >= 2")
     n = m * q
-    base = pow(_lcm_mod(n, q, skip=q), n - 1, q)
+    base = pow(_lcm_mod(n, q), n - 1, q)
     x = x_of(m)
     y = harmonic(m)
     xq = x.numerator % q * pow(x.denominator, -1, q) % q

@@ -168,22 +168,22 @@ def test_classify_unresolved_when_starved(monkeypatch):
 
 
 def test_classify_evaluates_no_theorem_residue(monkeypatch):
-    # the interval and sign routes are chosen from the shape of n alone,
-    # and so is the divisor route's answer at n = p^e, where n' = 1 and B
-    # is the unit L/n: with L mod p unavailable, classify still gives
-    # every such certificate of the range-sweep window; other divisor
-    # records evaluate P_n mod p by design, through L/s mod p
+    # the producer never computes L mod p: the interval and sign routes
+    # are chosen from the shape of n, and the divisor route asks only
+    # whether P_n is a unit, by a lemma without the unit L/s.  With L mod
+    # p unavailable, classify still gives every certificate of the
+    # range-sweep window and every divisor record of mod4eq1 up to 10^4
     import logdisc.trunclog as trunclog_mod
 
-    def shape_only(n, cert):
-        return cert.kind in ("negative_sign", "odd_valuation") or (
-            cert.kind == "divisor_valuation" and cert.p**cert.e == n)
-
-    want = {n: cert for n in range(2, 1210) if shape_only(n, cert := classify(n))}
-    assert len(want) == 1002  # 604 sign, 301 interval, 97 prime powers
+    want = {n: classify(n) for n in range(2, 1210)}
+    kinds = [cert.kind for cert in want.values()]
+    assert (kinds.count("negative_sign"), kinds.count("odd_valuation")) == (604, 301)
+    divisor = {n: cert for n in range(1213, 10001, 4) if (cert := classify(n)).kind == "divisor_valuation"}
+    assert kinds.count("divisor_valuation") + len(divisor) == 2439
+    want |= divisor
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("closed-form residue evaluated")
+        raise AssertionError("L mod p evaluated")
 
     monkeypatch.setattr(trunclog_mod, "_lcm_mod", forbidden)
     assert {n: classify(n) for n in want} == want
@@ -519,7 +519,7 @@ def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatc
     # the verifier shares no exact kernel and no divisor-lemma code with
     # the producer: past the one exact record (n = 4), a whole sweep
     # verifies with the exact kernel, the X(m) behind E_m and the
-    # producer's p_n_mod_at_divisor made to raise; the sweep is relabelled
+    # producer's p_n_unit_at_divisor made to raise; the sweep is relabelled
     # to the two theorem kinds that older files hold, so both still verify
     import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
@@ -536,8 +536,8 @@ def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatc
         raise AssertionError("producer code reached")
 
     for mod, name in ((trunclog_mod, "x_of"), (trunclog_mod, "resultant_exact"),
-                      (poly_mod, "_all_ones_residues"), (trunclog_mod, "p_n_mod_at_divisor"),
-                      (certify_mod, "p_n_mod_at_divisor")):
+                      (poly_mod, "_all_ones_residues"), (trunclog_mod, "p_n_unit_at_divisor"),
+                      (certify_mod, "p_n_unit_at_divisor")):
         monkeypatch.setattr(mod, name, no_kernel)
     report = verify_file(rest)
     assert report.total == 1207 and report.ok

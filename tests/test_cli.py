@@ -92,12 +92,16 @@ def test_classify_unresolved_exit_code(capsys):
         assert code == 0
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "bogus")[0] == 1
     assert run(capsys, "disc")[0] == 1
     assert run(capsys, "disc", "0")[0] == 1
     assert run(capsys, "disc", "4", "--exact", "--mod", "7")[0] == 1
     assert run(capsys, "sweep", "--from", "2")[0] == 1
+    # an empty range is refused before the output file is opened
+    code, _, err = run(capsys, "sweep", "--from", "5", "--to", "3", "--out", str(tmp_path / "s.jsonl"))
+    assert code == 1 and err.startswith("usage error: empty range: 5 > 3")
+    assert not (tmp_path / "s.jsonl").exists()
     assert run(capsys)[0] == 1
 
 

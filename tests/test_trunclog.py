@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    a_n_mod,
     dense_disc_mod,
     dense_p_n_mod,
     disc_from_definition,
@@ -43,7 +44,7 @@ from logdisc.trunclog import (
     in_exceptional_set,
     p_n_exact,
     p_n_mod,
-    p_n_mod_at_divisor,
+    p_n_unit_at_divisor,
     x_of,
 )
 
@@ -96,27 +97,28 @@ M61 = (1 << 61) - 1
 
 
 def test_lcm_mod_matches_lcm_upto():
-    # lcm(1..n) with the maximal power of skip divided out, mod q; the
-    # primes above sqrt(n) enter with exponent 1
+    # U = lcm(1..n) with the maximal power of q divided out, mod q (L
+    # itself when q > n); the primes above sqrt(n) enter with exponent 1
     for q in (2, 3, 5, 7, 241, 10007, (1 << 31) - 1):
         for n in range(1, 601):
             L = lcm_upto(n)
-            assert _lcm_mod(n, q) == L % q, (n, q)
             U = L // q ** floor_log(q, n) if q <= n else L
-            assert _lcm_mod(n, q, skip=q) == U % q, (n, q)
+            assert _lcm_mod(n, q) == U % q, (n, q)
 
 
 def test_reduced_coeffs_small():
-    assert _reduced_coeffs_mod(2, M61).tolist() == [1]
-    assert _reduced_coeffs_mod(3, M61).tolist() == [5, 3]
-    assert _reduced_coeffs_mod(9, M61)[0] == 2520 + 280 - 315
+    # the row is A_n / L mod ell > n: 1/2 for n = 2, and L times it is A_n
+    assert _reduced_coeffs_mod(2, M61).tolist() == [pow(2, -1, M61)]
+    assert a_n_mod(2, M61) == [1]
+    assert a_n_mod(3, M61) == [5, 3]
+    assert a_n_mod(9, M61)[0] == 2520 + 280 - 315
     with pytest.raises(ValueError):
         p_n_mod(1, M61)
 
 
 def test_reduced_coeffs_divisions_exact():
     for n in range(2, 60):
-        a = _reduced_coeffs_mod(n, M61).tolist()
+        a = a_n_mod(n, M61)
         L = lcm_upto(n)
         assert len(a) == n - 1 and a[-1] != 0
         # direct identity: a_0 = L + L/n - L/(n-1), a_k = L/k - L/(n-1)
@@ -140,7 +142,7 @@ def test_reduction_identity():
         L = lcm_upto(n)
         quotient = [L // (n - 1) - L // n, L // n]
         lhs = f_tilde(n)
-        a = _reduced_coeffs_mod(n, M61).tolist()
+        a = a_n_mod(n, M61)
         prod = poly_mul([1] * n, quotient)
         rhs = [c + (a[i] if i < len(a) else 0) for i, c in enumerate(prod)]
         assert normalize(rhs) == normalize(lhs), n
@@ -173,7 +175,8 @@ def test_reduced_coeffs_mod_matches_exact(n):
     # every prime ell <= n + 5, so ell > n, ell^E > 1 and ell | n all
     # occur, ell = 2 among them; the last int64 modulus 2^31 - 1 and the
     # first object one 2^31 + 11; and two primes near 2^61.  A_n is L * F_n
-    # reduced mod Psi_n: x^n = 1, then x^(n-1) = -(1 + x + ... + x^(n-2))
+    # reduced mod Psi_n: x^n = 1, then x^(n-1) = -(1 + x + ... + x^(n-2)).
+    # The row is A_n / U for L = ell^E * U, so U times it is A_n mod ell
     exact = f_tilde(n)
     exact[0] += exact.pop()
     top = exact.pop()
@@ -181,7 +184,7 @@ def test_reduced_coeffs_mod_matches_exact(n):
     for ell in primes_upto(n + 5) + [(1 << 31) - 1, (1 << 31) + 11, M61, 2305843009212694027]:
         row = _reduced_coeffs_mod(n, ell)
         assert row.dtype == (np.int64 if ell < 1 << 31 else object), (n, ell)
-        assert row.tolist() == [c % ell for c in exact], (n, ell)
+        assert (_lcm_mod(n, ell) * row % ell).tolist() == [c % ell for c in exact], (n, ell)
 
 
 def test_p_n_mod_rejects_composite_modulus():
@@ -189,9 +192,10 @@ def test_p_n_mod_rejects_composite_modulus():
         p_n_mod(10, 9)
 
 
-# every n below 3000 against every prime p | n: p_n_mod's stride, the
-# producer's builder and the dense Euclid agree.  The examples hold p = 3
-# with p^2 | n (45 = 3^2 * 5, 225), n = p^e so that n' = 1 (9, 125, and
+# every n below 3000 against every prime p | n: p_n_mod's stride and the
+# dense Euclid agree, and the producer's lemma calls P_n a unit exactly
+# where it is nonzero.  The examples hold p = 3 with p^2 | n
+# (45 = 3^2 * 5, 225), n = p^e so that n' = 1 (9, 125, and
 # 2, 16, 1024 at p = 2), B(1) = 0 while Res(psi_n', B) != 0 (21 at p = 3,
 # 33 at p = 11), P_333 = 0 (mod 37), p = 2 with n' > 1 (12, 96), and
 # 2997 = 3^4 * 37 near the top of the range
@@ -214,7 +218,8 @@ def test_p_n_mod_at_divisor_matches_p_n_mod(n):
     exact = p_n_exact(n) if n <= 150 else None
     for p in factorize(n):
         got = p_n_mod(n, p)
-        assert got == p_n_mod_at_divisor(n, p) == dense_p_n_mod(n, p), (n, p)
+        assert got == dense_p_n_mod(n, p), (n, p)
+        assert p_n_unit_at_divisor(n, p) == (got != 0), (n, p)
         if exact is not None:
             assert got == exact % p, (n, p)
 
@@ -251,16 +256,17 @@ def test_p_n_mod_refuses_a_row_off_the_stride(monkeypatch):
 
 
 def test_p_n_mod_at_divisor_pinned():
-    assert p_n_mod_at_divisor(21, 3) == 0  # B(1) = 0 with Res(psi_7, B) = 1
-    assert p_n_mod_at_divisor(333, 37) == 0
-    assert p_n_mod_at_divisor(1197, 19) == p_n_mod(1197, 19) != 0
+    assert p_n_unit_at_divisor(21, 3) is False  # B(1) = 0 with Res(psi_7, B) = 1
+    assert p_n_unit_at_divisor(333, 37) is False
+    assert p_n_unit_at_divisor(1197, 19) is True and p_n_mod(1197, 19) != 0
+    assert p_n_unit_at_divisor(125, 5) is True  # n' = 1
     with pytest.raises(ValueError):
-        p_n_mod_at_divisor(45, 7)
+        p_n_unit_at_divisor(45, 7)
 
 
 def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
     # B has (n - 2) // p^floor(log_p n) + 1 terms: neither A_n mod p nor
-    # psi_n is built, and the Euclid runs on (psi_n', B)
+    # psi_n is built, the Euclid runs on (psi_n', B), and no L mod p enters
     import logdisc.trunclog as trunclog
 
     seen = []
@@ -275,7 +281,8 @@ def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
 
     monkeypatch.setattr(trunclog, "resultant_mod_p", recording)
     monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", forbidden)
-    assert p_n_mod_at_divisor(9993, 3331) != 0  # 9993 = 3 * 3331
+    monkeypatch.setattr(trunclog, "_lcm_mod", forbidden)
+    assert p_n_unit_at_divisor(9993, 3331) is True  # 9993 = 3 * 3331
     assert seen == [(3, 3)]
 
 
@@ -390,6 +397,43 @@ def test_disc_mod_pinned_values():
     assert disc_mod(333, 337) == 157
     assert disc_mod(505, 509) == 200
     assert disc_mod(685, 709) == 443
+
+
+def test_disc_mod_computes_no_lcm(monkeypatch):
+    # L cancels in disc F_n mod ell: the README and CI pins, on the DFT
+    # path, on Euclid above 2^31 and on Euclid at ell != 1 (mod n), come
+    # out with L mod ell and P_n mod ell made to raise
+    import logdisc.trunclog as trunclog
+
+    def forbidden(*args):
+        raise AssertionError("L or P_n mod ell computed")
+
+    monkeypatch.setattr(trunclog, "_lcm_mod", forbidden)
+    monkeypatch.setattr(trunclog, "p_n_mod", forbidden)
+    assert disc_mod(9765, 507781) == 316307
+    assert disc_mod(33, 2147483713) == 1404554637
+    assert disc_mod(333, 337) == 157
+    assert disc_mod(33, 2147483647) == 490486654
+
+
+# the Euclid path of disc_mod against the L-route reference: a prime
+# ell != 1 (mod n) above n (n = 2 has none), and a prime ell = 1 (mod n)
+# from 2^31 up, where the rows are object arrays
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 600), st.integers(0, 5000), st.integers(0, 1 << 20))
+@example(3, 0, 0)
+@example(333, 0, 0)
+@example(600, 5000, 1 << 20)
+def test_disc_mod_euclid_path_matches_dense_euclid(n, j, t):
+    ells = [(1 << 31) + t - ((1 << 31) + t) % n + 1]
+    while not is_prime(ells[0]):
+        ells[0] += n
+    if n > 2:
+        ells.append(next_prime(n + j))
+        while ells[1] % n == 1:
+            ells[1] = next_prime(ells[1])
+    for ell in ells:
+        assert disc_mod(n, ell) == dense_disc_mod(n, ell), (n, ell)
 
 
 # n in every class mod 4, and prime n from 11 up, whose one radix takes
