@@ -6,16 +6,16 @@ claim from scratch.  Routes, in the order tried:
 
   * n = 1                     trivial (linear polynomial)
   * n = 2, 3 (mod 4)          negative discriminant
-  * n = 0 (mod 4), n > 4      odd valuation at a prime in (n/2, n-2)
+  * n = 0 (mod 4), n >= 8     odd valuation at a prime in (n/2, n-2)
   * p^e || n, e odd           odd valuation at p, if P_n mod p != 0,
                               tried over such p, largest first
-  * otherwise                 quadratic non-residue witness search;
+  * otherwise, n = 4 too      quadratic non-residue witness search;
                               unresolved if no witness turns up within
                               max_witness_attempts primes
 
-The producer runs no Euclid of degree n and never computes L: the
-interval route is chosen from the shape of n, the divisor route asks
-by one small resultant whether P_n is a unit mod p
+The producer runs no Euclid of degree n, no exact arithmetic and never
+computes L: the interval route is chosen from the shape of n, the divisor
+route asks by one small resultant whether P_n is a unit mod p
 (trunclog.p_n_unit_at_divisor), and witnesses are primes ell = 1 (mod n),
 where a DFT over the n-th roots of unity gives disc F_n mod ell straight
 from the coefficients of F_n.  verify_failure checks the four valuation
@@ -25,7 +25,7 @@ valuation, P_n mod r nonzero by p_n_mod: at r | n the divisor lemma on
 its own row A_n / U mod r, sharing no code with p_n_unit_at_divisor),
 never consults E_m, and takes a witness at any prime n < ell < 2^31 from
 the row A_n / L: by its own DFT (disc_mod) at ell = 1 (mod n), by Euclid
-at older files' ell.
+at older files' ell, and older files' exact kinds by the exact kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ _REQUIRED_FIELDS = {
     "unresolved": (),
 }
 # every kind: those classify emits, in the order it tries them, and
-# odd_prime_power_valuation and split_theorem, which only older files hold
+# the theorem and exact kinds, which only older files hold
 CERT_KINDS = tuple(_REQUIRED_FIELDS)
 _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # every integer field a certificate may carry, in the order sweep files
@@ -129,15 +129,10 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
     if n % 4 in (2, 3):
         return Certificate("negative_sign")
 
-    if n % 4 == 0:
-        if n == 4:
-            # interval (2, 2) is empty; the discriminant is cheap exactly
-            if is_rational_square(disc_exact(4).exact):
-                return Certificate("counterexample")
-            return Certificate("exact_non_square")
+    if n % 4 == 0 and n > 4:
         return Certificate("odd_valuation", ell=bertrand_prime(n))
 
-    # n = 1 (mod 4)
+    # n = 1 (mod 4), or n = 4: its interval (2, 2) is empty, and 4 = 2^2 has no odd exponent
     fac = factorize(n)
     for p in sorted((p for p, e in fac.items() if e & 1), reverse=True):
         if p_n_unit_at_divisor(n, p):
@@ -194,7 +189,7 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
             return f"{res} is not a non-residue mod {ell}"
         return None
     if kind in ("exact_non_square", "counterexample"):
-        # classify goes exact only at n = 4, and the cost of disc_exact
+        # older files hold these at n = 4 only, and the cost of disc_exact
         # grows steeply with n: bound n before any of it
         if n > _EXACT_MAX_N:
             return f"exact route is checked only up to n = {_EXACT_MAX_N}"

@@ -212,7 +212,7 @@ def cmd_dispatch(argv: list[str]) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, FactorizationBudgetError, SweepFileError, OSError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, FactorizationBudgetError, SweepFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

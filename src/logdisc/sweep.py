@@ -272,7 +272,10 @@ def _tally(summary: SweepSummary, status: str) -> None:
 def _check_record(lineno: int, n: int, cert: Certificate) -> tuple[int, int, str, str | None, float]:
     """verify_failure(n, cert) and its seconds; the worker task of verify_file."""
     t0 = time.perf_counter()
-    reason = verify_failure(n, cert)
+    try:
+        reason = verify_failure(n, cert)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        raise ArithmeticError(f"verify: line {lineno}, n = {n}, {cert.kind}: {exc}") from exc
     return lineno, n, cert.kind, reason, time.perf_counter() - t0
 
 

@@ -112,7 +112,9 @@ def test_classify_routing():
     assert classify(2).kind == "negative_sign"
     assert classify(6).kind == "negative_sign"
     assert classify(11).kind == "negative_sign"
-    assert classify(4).kind == "exact_non_square"
+    # the interval (2, 2) is empty and 4 = 2^2 has no odd exponent:
+    # witness route (725 = 5^2 * 29, so the residue is 0 at 5 and 29)
+    assert classify(4) == Certificate("non_residue_witness", ell=37, residue=29)
     assert classify(8) == Certificate("odd_valuation", ell=5)
     assert classify(12) == Certificate("odd_valuation", ell=7)
     # n = 1 (mod 4) takes the divisor route wherever the prime power and
@@ -190,14 +192,14 @@ def test_classify_evaluates_no_theorem_residue(monkeypatch):
 
 
 def test_classify_reaches_no_exact_kernel(monkeypatch):
-    # past n = 4, whose exact discriminant is the route, the producer runs
-    # no exact resultant and no E_m membership: neither the X(m) behind
-    # E_m nor the exact kernel is reached on the range-sweep window
+    # the producer runs no exact arithmetic and no E_m membership: neither
+    # the X(m) behind E_m nor the exact kernel is reached anywhere on the
+    # range-sweep window, n = 4 included
     import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
     import logdisc.trunclog as trunclog_mod
 
-    ns = [n for n in range(2, 1210) if n != 4]
+    ns = range(2, 1210)
     want = {n: classify(n) for n in ns}
 
     def no_kernel(*args):
@@ -205,7 +207,9 @@ def test_classify_reaches_no_exact_kernel(monkeypatch):
 
     for mod, name in ((trunclog_mod, "x_of"), (trunclog_mod, "resultant_exact"),
                       (poly_mod, "resultant_exact"), (trunclog_mod, "in_exceptional_set"),
-                      (certify_mod, "in_exceptional_set")):
+                      (certify_mod, "in_exceptional_set"), (certify_mod, "disc_exact"),
+                      (trunclog_mod, "disc_exact"), (trunclog_mod, "p_n_exact"),
+                      (certify_mod, "is_rational_square")):
         monkeypatch.setattr(mod, name, no_kernel)
     assert {n: classify(n) for n in ns} == want
 
@@ -377,7 +381,7 @@ def test_verify_bounds_n_before_exact_arithmetic(monkeypatch):
         for kind in ("exact_non_square", "counterexample"):
             reason = verify_failure(1501, Certificate(kind))
             assert reason is not None and "n = 1000" in reason
-    # n = 4, the one n classify certifies exactly, still verifies
+    # n = 4, which older files certify exactly, still verifies
     assert verify_failure(4, Certificate("exact_non_square")) is None
     assert verify_failure(4, Certificate("counterexample")) == "disc F_4 is not a rational square"
 
@@ -477,18 +481,17 @@ def test_verify_rejects_tampered_witnesses_on_both_paths(n, ell, residue, reason
 def test_verify_checks_witnesses_without_the_producer_dft(tmp_path, monkeypatch):
     # the verifier's DFT at ell = 1 (mod n) is its own: a sweep with
     # witness records verifies through the console command with every
-    # DFT kernel of the producer made to raise (5..400 leaves out n = 4,
-    # whose exact record the exact kernel checks by design)
+    # DFT kernel of the producer made to raise
     import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
     import logdisc.trunclog as trunclog_mod
     from logdisc.cli import cmd_dispatch
 
     path = tmp_path / "s.jsonl"
-    run_sweep(SweepConfig(5, 400, out=str(path)))
+    run_sweep(SweepConfig(2, 400, out=str(path)))
     records = [json.loads(line) for line in path.read_text().splitlines()]
     witnesses = [r for r in records if r["certificate"]["type"] == "non_residue_witness"]
-    assert len(witnesses) == 10 and all(int(r["certificate"]["ell"]) % r["n"] == 1 for r in witnesses)
+    assert len(witnesses) == 11 and all(int(r["certificate"]["ell"]) % r["n"] == 1 for r in witnesses)
 
     def no_kernel(*args):
         raise AssertionError("producer DFT reached")
@@ -517,30 +520,28 @@ def _relabel_to_theorem_kinds(rec):
 
 def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatch):
     # the verifier shares no exact kernel and no divisor-lemma code with
-    # the producer: past the one exact record (n = 4), a whole sweep
-    # verifies with the exact kernel, the X(m) behind E_m and the
-    # producer's p_n_unit_at_divisor made to raise; the sweep is relabelled
-    # to the two theorem kinds that older files hold, so both still verify
+    # the producer: a whole sweep verifies with the exact kernel, the X(m)
+    # behind E_m and the producer's p_n_unit_at_divisor made to raise; the
+    # sweep is relabelled to the two theorem kinds that older files hold,
+    # so both still verify
     import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
     import logdisc.trunclog as trunclog_mod
 
-    full, rest = tmp_path / "full.jsonl", tmp_path / "rest.jsonl"
+    full, relabelled = tmp_path / "full.jsonl", tmp_path / "relabelled.jsonl"
     run_sweep(SweepConfig(2, 1209, out=str(full)))
     records = [json.loads(line) for line in full.read_text().splitlines()]
-    kept = [_relabel_to_theorem_kinds(r) for r in records if r["n"] != 4]
-    assert len(kept) == len(records) - 1
-    rest.write_text("".join(json.dumps(r) + "\n" for r in kept))
+    relabelled.write_text("".join(json.dumps(_relabel_to_theorem_kinds(r)) + "\n" for r in records))
 
     def no_kernel(*args):
         raise AssertionError("producer code reached")
 
     for mod, name in ((trunclog_mod, "x_of"), (trunclog_mod, "resultant_exact"),
                       (poly_mod, "_all_ones_residues"), (trunclog_mod, "p_n_unit_at_divisor"),
-                      (certify_mod, "p_n_unit_at_divisor")):
+                      (certify_mod, "p_n_unit_at_divisor"), (certify_mod, "disc_exact")):
         monkeypatch.setattr(mod, name, no_kernel)
-    report = verify_file(rest)
-    assert report.total == 1207 and report.ok
+    report = verify_file(relabelled)
+    assert report.total == 1208 and report.ok
     # the counts of the file the producer wrote before the divisor route
     # took the theorem n
     assert report.routes["split_theorem"][0] == 138

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from helpers import off_stride
+from logdisc.arith import is_prime
 from logdisc.cli import cmd_dispatch
 
 
@@ -267,7 +268,7 @@ def test_verify_jobs_reports_as_one_job(tmp_path, capsys):
     assert run(capsys, "sweep", "--from", "2", "--to", "30", "--out", str(out_path))[0] == 0
     lines = out_path.read_bytes().splitlines(keepends=True)
     recs = [json.loads(line) for line in lines]
-    assert [recs[i]["certificate"]["type"] for i in (2, 10)] == ["exact_non_square", "odd_valuation"]
+    assert [recs[i]["certificate"]["type"] for i in (2, 10)] == ["non_residue_witness", "odd_valuation"]
     # a false witness claim at n = 4005 comes first: its check takes far
     # longer than any other here, so a pool finishes later records first
     ell, res = witness_search(4005, 50)
@@ -382,6 +383,60 @@ def test_verify_exits_two_on_a_row_off_the_stride(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", off_stride(trunclog._reduced_coeffs_mod))
     code, _, err = run(capsys, "verify", str(out_path))
     assert code == 2 and "A_45 mod 5 has a nonzero coefficient off the multiples of 25" in err
+
+
+def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # a row too large to allocate is a computational failure, in a command
+    # and in a verify check, not a traceback with the usage code 1
+    import logdisc.trunclog as trunclog
+
+    out_path = tmp_path / "s.jsonl"
+    out_path.write_text(json.dumps({
+        "n": 12, "status": "certified", "certificate": {"type": "odd_valuation", "ell": "7"},
+    }) + "\n")
+
+    def no_memory(n, ell):
+        raise MemoryError("Unable to allocate 128. GiB for an array")
+
+    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", no_memory)
+    code, out, err = run(capsys, "pn", "17", "--mod", "5")
+    assert (code, out, err) == (2, "", "error: Unable to allocate 128. GiB for an array\n")
+    code, out, err = run(capsys, "verify", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: verify: line 1, n = 12, odd_valuation: Unable to allocate 128. GiB for an array\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_names_the_record_whose_check_raises(tmp_path, capsys, jobs):
+    # a well-formed interval record at n = 2^70 whose check numpy refuses
+    # (before it allocates anything): the run ends naming the line, n and kind
+    n = 2**70
+    ell = next(k for k in range(n // 2 + 1, n) if is_prime(k))
+    out_path = tmp_path / "s.jsonl"
+    out_path.write_text("".join(json.dumps(r) + "\n" for r in (
+        {"n": 8, "status": "certified", "certificate": {"type": "odd_valuation", "ell": "5"}},
+        {"n": n, "status": "certified", "certificate": {"type": "odd_valuation", "ell": str(ell)}},
+    )))
+    code, out, err = run(capsys, "verify", str(out_path), "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: verify: line 2, n = {n}, odd_valuation: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_verify_accepts_an_older_exact_record_at_n4(tmp_path, capsys):
+    # an older file's exact record at n = 4, as its sweep wrote it, still
+    # verifies by the exact kernel
+    out_path = tmp_path / "s.jsonl"
+    assert run(capsys, "sweep", "--from", "2", "--to", "30", "--out", str(out_path))[0] == 0
+    lines = out_path.read_text().splitlines(keepends=True)
+    assert json.loads(lines[2])["certificate"] == {"type": "non_residue_witness", "ell": "37", "residue": "29"}
+    lines[2] = ('{"certificate": {"type": "exact_non_square"}, "ms": 4.993, "n": 4, '
+                '"status": "certified", "tool_version": "0.1.0"}\n')
+    out_path.write_text("".join(lines))
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", str(out_path), "--jobs", jobs)
+        assert code == 0 and "checked 29 records: 0 malformed, 0 invalid, 0 flagged" in out
+        assert "route exact_non_square: 1 records" in out
 
 
 def test_sweep_odd_squares_filter(tmp_path, capsys):

@@ -212,12 +212,12 @@ def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert Counter(r["certificate"]["type"] for r in records) == {
         "negative_sign": 600, "odd_valuation": 299, "divisor_valuation": 280,
-        "non_residue_witness": 20, "exact_non_square": 1,
+        "non_residue_witness": 21,
     }
     kept = sorted((r["n"], json.dumps(r["certificate"], sort_keys=True)) for r in records
                   if r["certificate"]["type"] not in ("non_residue_witness", "divisor_valuation"))
     digest = hashlib.sha256("".join(f"{n} {c}\n" for n, c in kept).encode()).hexdigest()
-    assert digest == "47a1c170d6cec6f5bc1bae56dea32cfb167da1a980662f3696dd2c31eca129a5"
+    assert digest == "751bdee3f2d4cc3b26e1ac51f4f20b7f3e0d46db406696e7d98844f647fced0c"
 
 
 def test_run_sweep_resume_after_truncation(tmp_path):
