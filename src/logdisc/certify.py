@@ -21,9 +21,9 @@ where a DFT over the n-th roots of unity gives disc F_n mod ell straight
 from the coefficients of F_n.  verify_failure checks the four valuation
 kinds, among them odd_prime_power_valuation (n = p^e) and split_theorem
 (n = m*q) that older files hold, by one rule (prime r, odd frame
-valuation, P_n mod r nonzero by p_n_mod: at r | n the divisor lemma on
-its own row A_n / U mod r, sharing no code with p_n_unit_at_divisor),
-never consults E_m, and takes a witness at any prime n < ell < 2^31 from
+valuation, P_n / U^(k-1) = Res(psi_k, G) mod r nonzero, trunclog's
+psi_g_resultant, sharing no code with p_n_unit_at_divisor), never
+consults E_m, and takes a witness at any prime n < ell < 2^31 from
 the row A_n / L: by its own DFT (disc_mod) at ell = 1 (mod n), by Euclid
 at older files' ell, and older files' exact kinds by the exact kernel.
 """
@@ -35,11 +35,11 @@ from itertools import islice
 
 from .arith import factorize, is_prime, is_rational_square, legendre_symbol, next_prime
 from .poly import _NP_MAX_MOD
-from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, p_n_mod, p_n_unit_at_divisor
+from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, p_n_unit_at_divisor, psi_g_resultant
 
-# nothing here calls in_exceptional_set; the name stays bound because
-# perfbench traces certify.in_exceptional_set
-from .trunclog import in_exceptional_set  # noqa: F401
+# nothing here calls in_exceptional_set or p_n_mod; the names stay bound
+# because perfbench traces certify.in_exceptional_set and certify.p_n_mod
+from .trunclog import in_exceptional_set, p_n_mod  # noqa: F401
 
 # fields that must be present (not None) for each kind; all others None
 _REQUIRED_FIELDS = {
@@ -233,7 +233,7 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         return f"{r} is not prime"
     if frame_valuation(n, r) % 2 == 0:
         return f"frame valuation at {r} is even"
-    if p_n_mod(n, r) == 0:
+    if psi_g_resultant(n, r) == 0:
         return f"P_{n} vanishes mod {r}"
     return None
 

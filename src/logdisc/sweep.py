@@ -275,7 +275,7 @@ def _check_record(lineno: int, n: int, cert: Certificate) -> tuple[int, int, str
     try:
         reason = verify_failure(n, cert)
     except (ValueError, ArithmeticError, MemoryError) as exc:
-        raise ArithmeticError(f"verify: line {lineno}, n = {n}, {cert.kind}: {exc}") from exc
+        raise ArithmeticError(f"verify: line {lineno}, n = {n}, {cert.kind}: {str(exc) or repr(exc)}") from exc
     return lineno, n, cert.kind, reason, time.perf_counter() - t0
 
 

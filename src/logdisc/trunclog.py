@@ -17,13 +17,13 @@ roots of unity, where L * F_n agrees with its reduced remainder
     a_k = L/k - L/(n-1)        (1 <= k <= n-2),
 
 so P_n = Res(1 + x + ... + x^(n-1), A_n) as well.  The exact route
-evaluates L * F_n (f_tilde) folded mod x^n - 1.  A_n is built only mod a
-prime ell and up to the unit U = L / ell^E, as the row A_n / U (F_n mod
-the derivative when ell > n); L enters only P_n's own value, in p_n_mod,
-and cancels in disc_mod.  At ell | n the divisor lemma takes a small
-resultant of the row's stride, p_n_unit_at_divisor one of its own.
-The witness search takes disc F_n mod ell from F_n itself, as
-sign * n * Res(F_n', F_n), with no L or A_n (see disc_mod_dft).
+evaluates L * F_n (f_tilde) folded mod x^n - 1.  Mod a prime ell > n, A_n
+is built as the row A_n / L (F_n mod the derivative); mod ell <= n, with
+s = ell^E <= n < ell * s and the unit U = L / s, A_n / U = G(x^s) for
+G(y) = y + ... + y^m/m, m = n // s, and P_n / U^(k-1) = Res(psi_k, G)
+(psi_g_resultant) takes no row of length n.  L enters only P_n's own value,
+in p_n_mod, and cancels in disc_mod.  The witness search takes disc F_n
+mod ell from F_n itself, as sign * n * Res(F_n', F_n) (disc_mod_dft).
 """
 
 from __future__ import annotations
@@ -89,46 +89,76 @@ def _lcm_mod(n: int, ell: int) -> int:
 
 
 def _reduced_coeffs_mod(n: int, ell: int) -> np.ndarray:
-    """A_n / U mod ell as a row of _row_dtype(ell), for L = ell^E * U with U
-    coprime to ell: the row F_n mod psi_n when ell > n, and no L is computed.
-
-    (L/j) / U = ell^E / j is 0 mod ell unless ell^E | j, and then 1 / (j / ell^E);
-    the quotients up to m = n // ell^E < ell are inverted by the recurrence
-    1/j = -(ell // j) * 1/(ell mod j), from ell = (ell // j) * j + ell mod j.
-    """
-    shift = ell ** floor_log(ell, n) if ell <= n else 1
+    """A_n / L mod a prime ell > n, the row F_n mod psi_n of _row_dtype(ell):
+    a_k / L = 1/k - 1/(n-1) and a_0 / L = 1 + 1/n - 1/(n-1)."""
     inv = [0, 1]
-    for j in range(2, n // shift + 1):
+    for j in range(2, n + 1):  # 1/j = -(ell // j) / (ell mod j)
         inv.append((ell - ell // j) * inv[ell % j] % ell)
-    t = 0 if (n - 1) % shift else inv[(n - 1) // shift]  # (L/(n-1)) / U mod ell
-    term = np.full(n + 1, -t % ell, dtype=_row_dtype(ell))  # term[k] = (L/k - L/(n-1)) / U
-    term[shift::shift] = (np.array(inv[1:], dtype=term.dtype) - t) % ell
-    term[0] = (term[1] + term[n] + t) % ell  # a_0 = L + L/n - L/(n-1)
+    t = inv[n - 1]
+    term = (np.array(inv, dtype=_row_dtype(ell)) - t) % ell
+    term[0] = (term[1] + term[n] + t) % ell
     return term[: n - 1]
 
 
+def psi_g_resultant(n: int, ell: int) -> int:
+    """Res(psi_k, G) mod a prime ell <= n, G(y) = y + y^2/2 + ... + y^m/m for
+    s = ell^floor(log_ell n) and m = n // s < ell: P_n / U^(k-1), U = L / s.
+
+    L * F_n / U = G(x^s) mod ell, as L/j / U = s/j is 0 unless s | j, and
+    y -> y^s permutes the roots of psi_k: k = n if ell does not divide n.
+    Else x^n - 1 = (x^k - 1)^(ell^v) for k = n / ell^v, and P_n = 0 if
+    G(1) = 0.  psi_k mod the monic H = m * G / y doubles on Python lists.
+    """
+    if ell > n:
+        raise ValueError(f"modulus must be at most {n}, got {ell}")
+    m = n // ell ** floor_log(ell, n)
+    G = [0, 1] + [0] * (m - 1)  # whole first: a hopeless m fails here, not in the loop
+    for j in range(2, m + 1):  # 1/j = -(ell // j) / (ell mod j)
+        G[j] = (ell - ell // j) * G[ell % j] % ell
+    k = n // ell ** int_valuation(n, ell)
+    if k < n and sum(G) % ell == 0:  # ell | n and G(1) = 0
+        return 0
+    if k == 1:
+        return 1
+    if k - 1 <= m:  # every n = p * q divisor record: k = m
+        return resultant_mod_p(psi_poly(k), G, ell)
+    # Res(psi_k, y) = (-1)^(k-1) = Res(psi_k, G) at m = 1, every interval
+    # prime; Res(psi_k, G / y) = m^(1-k) (-1)^((k-1)(m-1)) Res(H, psi_k mod H)
+    if m == 1:
+        return (-1) ** (k - 1) % ell
+    d, H = m - 1, [m * c % ell for c in G[1:]]
+    w = (2 * m * ell * ell).bit_length()  # bits per coefficient, packed
+
+    def pack(c: list[int]) -> int:
+        return sum(v << w * i for i, v in enumerate(c))
+    def unpack(z: int, count: int) -> list[int]:
+        return [(z >> w * i & (1 << w) - 1) % ell for i in range(count)]
+    def times_x(c: list[int], c0: int) -> list[int]:  # c0 + x * c mod (H, ell)
+        return [(u - c[-1] * h) % ell for u, h in zip([c0] + c[:-1], H)]
+    def mul(a: list[int], b: list[int]) -> list[int]:  # a * b mod (H, ell), by Kronecker substitution
+        c = unpack(pack(a) * pack(b), 2 * d - 1)
+        return unpack(pack(c[:d]) + sum(u * t for u, t in zip(c[d:], T)), d)
+
+    row = [0] * (d - 1) + [1]  # x^(d-1); T packs x^d, ..., x^(2d-2) mod H
+    T = [pack(row := times_x(row, 0)) for _ in range(d - 1)]
+    S = [0] * d  # psi_0; psi_(j+1) = 1 + x psi_j, so 1 + x^j = 2 + x psi_j - psi_j
+    for bit in bin(k)[2:]:
+        S = mul(S, [(u - v) % ell for u, v in zip(times_x(S, 2), S)])  # psi_2j = psi_j (1 + x^j)
+        if bit == "1":
+            S = times_x(S, 1)
+    return (-1) ** ((k - 1) * m) * pow(m, 1 - k, ell) * resultant_mod_p(H, S, ell) % ell
+
+
 def p_n_mod(n: int, ell: int) -> int:
-    """P_n mod a prime ell as U^(k-1) * Res(psi_k, B), U = _lcm_mod(n, ell): the
-    one use of L, as Res(psi_k, U * B) = U^(k-1) * Res(psi_k, B).  k = n and B
-    is the row A_n / U mod ell; at ell | n, the lemma of p_n_unit_at_divisor
-    on k = n' and B = row[::s], once the row is checked to be B(x^s)."""
+    """P_n mod a prime ell as U^(n-1) * Res(psi_k, B), U = _lcm_mod(n, ell), the
+    one use of L: U^(k-1) = U^(n-1) as ell - 1 divides n - k.  At ell > n, k = n
+    and B is the row A_n / U; at ell <= n, B = G of psi_g_resultant."""
     if n < 2:
         raise ValueError(f"p_n_mod requires n >= 2, got {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    A = B = _reduced_coeffs_mod(n, ell)
-    k = n
-    if n % ell == 0:
-        s = ell ** floor_log(ell, n)
-        B = A[::s]
-        if np.count_nonzero(A) != np.count_nonzero(B):
-            raise ArithmeticError(f"A_{n} mod {ell} has a nonzero coefficient off the multiples of {s}")
-        k = n // ell ** int_valuation(n, ell)
-        if B.sum() % ell == 0:
-            return 0
-        if k == 1:
-            return 1
-    return pow(_lcm_mod(n, ell), k - 1, ell) * resultant_mod_p(psi_poly(k), B, ell) % ell
+    r = psi_g_resultant(n, ell) if ell <= n else resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
+    return pow(_lcm_mod(n, ell), n - 1, ell) * r % ell
 
 
 def p_n_unit_at_divisor(n: int, p: int) -> bool:

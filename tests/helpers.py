@@ -1,8 +1,9 @@
 """Helpers that only the tests need: polynomial lists (normalize,
 product and evaluation), the independent PRS oracle (resultant_prs over
 Z, and disc F_n from its defining resultant), the p-adic valuation of a
-rational, P_n and disc F_n mod ell by the dense Euclid, and the paper's
-closed-form residues of P_n on the three theorem routes.
+rational, A_n, P_n and disc F_n mod ell by the dense Euclid from the
+integers of L * F_n, and the paper's closed-form residues of P_n on the
+three theorem routes.
 
 theorem_route picks those routes from the shape of n; the tests check
 each formula against Euclid (dense_p_n_mod) and that it is nonzero on
@@ -16,7 +17,7 @@ from itertools import chain
 from logdisc.arith import factorize, harmonic, int_valuation, is_prime, lcm_upto
 from logdisc.certify import bertrand_prime
 from logdisc.poly import psi_poly, resultant_mod_p
-from logdisc.trunclog import _lcm_mod, _reduced_coeffs_mod, disc_sign, f_tilde, in_exceptional_set, x_of
+from logdisc.trunclog import _lcm_mod, disc_sign, f_tilde, in_exceptional_set, x_of
 
 
 def normalize(coeffs: list[int]) -> list[int]:
@@ -135,35 +136,25 @@ def disc_from_definition(n: int) -> Fraction:
 
 
 def a_n_mod(n: int, ell: int) -> list[int]:
-    """A_n mod ell itself: U = _lcm_mod(n, ell) times the row A_n / U."""
-    return (_lcm_mod(n, ell) * _reduced_coeffs_mod(n, ell) % ell).tolist()
+    """A_n mod ell from the integers of L * F_n (f_tilde), reduced mod psi_n:
+    x^n = 1, then x^(n-1) = -(1 + x + ... + x^(n-2))."""
+    a = f_tilde(n)
+    a[0] += a.pop()
+    top = a.pop()
+    return [(c - top) % ell for c in a]
 
 
 def dense_p_n_mod(n: int, ell: int) -> int:
-    """P_n mod a prime ell by Euclid on (psi_n, A_n / U mod ell) at every ell,
-    ell | n included, times U^(n-1): the reference for p_n_mod's stride at ell | n."""
-    res = resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
-    return pow(_lcm_mod(n, ell), n - 1, ell) * res % ell
+    """P_n mod a prime ell by Euclid on (psi_n, A_n mod ell), the dense
+    reference for p_n_mod at every ell, ell | n included."""
+    return resultant_mod_p(psi_poly(n), a_n_mod(n, ell), ell)
 
 
 def dense_disc_mod(n: int, ell: int) -> int:
     """disc F_n mod a prime ell > n as sign * n * L^-(n-1) * dense_p_n_mod:
     the Euclid reference for disc_mod's DFT at ell = 1 (mod n)."""
-    frame = n * pow(_lcm_mod(n, ell), -(n - 1), ell) % ell
+    frame = n * pow(lcm_upto(n), -(n - 1), ell) % ell
     return disc_sign(n) * frame * dense_p_n_mod(n, ell) % ell
-
-
-def off_stride(reduced_coeffs_mod):
-    """reduced_coeffs_mod with a nonzero x^1 coefficient at ell | n, where
-    A_n mod ell must be a polynomial in x^s for s = ell^floor(log_ell n) >= 2."""
-
-    def corrupt(n: int, ell: int):
-        A = reduced_coeffs_mod(n, ell)
-        if n % ell == 0:
-            A[1] = (A[1] + 1) % ell
-        return A
-
-    return corrupt
 
 
 def rat_valuation(r: Fraction, p: int) -> int:

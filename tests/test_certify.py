@@ -547,3 +547,37 @@ def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatc
     assert report.routes["split_theorem"][0] == 138
     assert report.routes["odd_prime_power_valuation"][0] == 97
     assert report.routes["divisor_valuation"][0] == 47
+
+
+def test_classify_records_far_past_any_sweep_verify_with_no_length_n_row(monkeypatch):
+    # classify's records at n = 2^34, 10^12 and a prime n = 1 (mod 4) above
+    # 2^34 verify in milliseconds: the check allocates no numpy row of more
+    # than 10^6 entries, sieves no primes up to n and computes no L mod r
+    import numpy as np
+
+    import logdisc.arith as arith_mod
+    import logdisc.trunclog as trunclog_mod
+
+    prime = next(c for c in range((1 << 34) + 1, 1 << 35, 4) if is_prime(c))
+    certs = {n: classify(n) for n in (1 << 34, 10**12, prime)}
+    assert [c.kind for c in certs.values()] == ["odd_valuation", "odd_valuation", "divisor_valuation"]
+
+    def bounded(make):
+        def guarded(shape, *args, **kwargs):
+            if np.prod(shape) > 10**6:
+                raise AssertionError(f"a row of {shape} entries allocated")
+            return make(shape, *args, **kwargs)
+
+        return guarded
+
+    def forbidden(*args):
+        raise AssertionError("primes up to n or L mod r computed")
+
+    for name in ("ones", "full", "zeros"):
+        monkeypatch.setattr(np, name, bounded(getattr(np, name)))
+    monkeypatch.setattr(trunclog_mod, "_lcm_mod", forbidden)
+    monkeypatch.setattr(trunclog_mod, "primes_upto", forbidden)
+    monkeypatch.setattr(arith_mod, "primes_upto", bounded(arith_mod.primes_upto))
+    t0 = time.perf_counter()
+    assert all(verify_failure(n, cert) is None for n, cert in certs.items())
+    assert time.perf_counter() - t0 < 1.0

@@ -8,8 +8,7 @@ import time
 
 import pytest
 
-from helpers import off_stride
-from logdisc.arith import is_prime
+from logdisc.arith import is_prime, next_prime
 from logdisc.cli import cmd_dispatch
 
 
@@ -369,58 +368,64 @@ def test_verify_tampered_divisor_records_exit_three(tmp_path, capsys):
         assert code == 3 and f"n={n}: INVALID: " in out and reason in out, (n, fields, out)
 
 
-def test_verify_exits_two_on_a_row_off_the_stride(tmp_path, capsys, monkeypatch):
-    # at p | n the verifier checks that A_n mod p is a polynomial in x^s;
-    # a row that is not is a computational failure, not a traceback
-    import logdisc.trunclog as trunclog
-
+def test_verify_rejects_valuation_records_the_identity_refutes(tmp_path, capsys):
+    # each tampered record exits 3 and names its reason, next to a genuine
+    # one: G(1) = 0 at (21, 3), a composite r, and an interval prime outside
+    # (n/2, n - 2); P_333 = 0 (mod 37) is test_verify_tampered_divisor_records_exit_three's
     out_path = tmp_path / "s.jsonl"
-    out_path.write_text(json.dumps({
-        "n": 45, "status": "certified",
-        "certificate": {"type": "divisor_valuation", "p": "5", "e": "1"},
-    }) + "\n")
-    assert run(capsys, "verify", str(out_path))[0] == 0
-    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", off_stride(trunclog._reduced_coeffs_mod))
-    code, _, err = run(capsys, "verify", str(out_path))
-    assert code == 2 and "A_45 mod 5 has a nonzero coefficient off the multiples of 25" in err
+    good = {"n": 8, "status": "certified", "certificate": {"type": "odd_valuation", "ell": "5"}}
+    tampered = [
+        (21, {"type": "divisor_valuation", "p": "3", "e": "1"}, "P_21 vanishes mod 3"),
+        (45, {"type": "divisor_valuation", "p": "9", "e": "1"}, "9 is not prime"),
+        (24, {"type": "odd_valuation", "ell": "11"}, "11 is outside the interval (12, 22)"),
+    ]
+    for n, cert, reason in tampered:
+        rec = {"n": n, "status": "certified", "certificate": cert}
+        out_path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n")
+        code, out, _ = run(capsys, "verify", str(out_path))
+        assert code == 3 and f"n={n}: INVALID: " in out and reason in out, (n, cert, out)
+        assert "checked 2 records: 0 malformed, 1 invalid" in out
 
 
 def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch):
     # a row too large to allocate is a computational failure, in a command
-    # and in a verify check, not a traceback with the usage code 1
+    # and in a verify check, not a traceback with the usage code 1: the
+    # dense row A_n / L mod ell > n of `pn --mod` and of a witness record
     import logdisc.trunclog as trunclog
 
     out_path = tmp_path / "s.jsonl"
     out_path.write_text(json.dumps({
-        "n": 12, "status": "certified", "certificate": {"type": "odd_valuation", "ell": "7"},
+        "n": 33, "status": "certified",
+        "certificate": {"type": "non_residue_witness", "ell": "37", "residue": "14"},
     }) + "\n")
 
     def no_memory(n, ell):
         raise MemoryError("Unable to allocate 128. GiB for an array")
 
     monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", no_memory)
-    code, out, err = run(capsys, "pn", "17", "--mod", "5")
+    code, out, err = run(capsys, "pn", "17", "--mod", "19")
     assert (code, out, err) == (2, "", "error: Unable to allocate 128. GiB for an array\n")
     code, out, err = run(capsys, "verify", str(out_path))
     assert (code, out) == (2, "")
-    assert err == "error: verify: line 1, n = 12, odd_valuation: Unable to allocate 128. GiB for an array\n"
+    assert err == "error: verify: line 1, n = 33, non_residue_witness: Unable to allocate 128. GiB for an array\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_names_the_record_whose_check_raises(tmp_path, capsys, jobs):
-    # a well-formed interval record at n = 2^70 whose check numpy refuses
-    # (before it allocates anything): the run ends naming the line, n and kind
-    n = 2**70
-    ell = next(k for k in range(n // 2 + 1, n) if is_prime(k))
+    # a well-formed divisor record at n = p * q, p > q > 2^61, whose check
+    # Python refuses (before it allocates anything): G has degree m = q, and
+    # its list of q + 1 inverses is too long.  The run ends naming the line,
+    # n and kind, and the error's type, since it carries no message
+    q = next_prime(1 << 61)
+    p = next(c for c in range(q + 2, 1 << 64, 2) if c * q % 4 == 1 and is_prime(c))
     out_path = tmp_path / "s.jsonl"
     out_path.write_text("".join(json.dumps(r) + "\n" for r in (
         {"n": 8, "status": "certified", "certificate": {"type": "odd_valuation", "ell": "5"}},
-        {"n": n, "status": "certified", "certificate": {"type": "odd_valuation", "ell": str(ell)}},
+        {"n": p * q, "status": "certified", "certificate": {"type": "divisor_valuation", "p": str(p), "e": "1"}},
     )))
     code, out, err = run(capsys, "verify", str(out_path), "--jobs", jobs)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: verify: line 2, n = {n}, odd_valuation: ")
-    assert "Traceback" not in err and err.count("\n") == 1
+    assert err == f"error: verify: line 2, n = {p * q}, divisor_valuation: MemoryError()\n"
 
 
 def test_verify_accepts_an_older_exact_record_at_n4(tmp_path, capsys):

@@ -12,7 +12,6 @@ from helpers import (
     dense_p_n_mod,
     disc_from_definition,
     normalize,
-    off_stride,
     poly_mul,
     predicted_interval_residue,
     predicted_prime_power_residue,
@@ -23,7 +22,6 @@ from helpers import (
 from logdisc.arith import (
     factorize,
     floor_log,
-    int_valuation,
     is_prime,
     lcm_upto,
     legendre_symbol,
@@ -45,6 +43,7 @@ from logdisc.trunclog import (
     p_n_exact,
     p_n_mod,
     p_n_unit_at_divisor,
+    psi_g_resultant,
     x_of,
 )
 
@@ -172,19 +171,50 @@ def test_p_n_mod_matches_exact():
 
 @pytest.mark.parametrize("n", list(range(2, 41)) + [64, 243, 1000, 1024])
 def test_reduced_coeffs_mod_matches_exact(n):
-    # every prime ell <= n + 5, so ell > n, ell^E > 1 and ell | n all
-    # occur, ell = 2 among them; the last int64 modulus 2^31 - 1 and the
-    # first object one 2^31 + 11; and two primes near 2^61.  A_n is L * F_n
+    # every prime ell in (n, n + 5], the last int64 modulus 2^31 - 1 and the
+    # first object one 2^31 + 11, and two primes near 2^61; primes ell <= n
+    # are test_p_n_mod_matches_the_dense_reference's.  A_n is L * F_n
     # reduced mod Psi_n: x^n = 1, then x^(n-1) = -(1 + x + ... + x^(n-2)).
-    # The row is A_n / U for L = ell^E * U, so U times it is A_n mod ell
+    # The row is A_n / L, so L times it is A_n mod ell
     exact = f_tilde(n)
     exact[0] += exact.pop()
     top = exact.pop()
     exact = [c - top for c in exact]
-    for ell in primes_upto(n + 5) + [(1 << 31) - 1, (1 << 31) + 11, M61, 2305843009212694027]:
+    for ell in [p for p in primes_upto(n + 5) if p > n] + [(1 << 31) - 1, (1 << 31) + 11, M61, 2305843009212694027]:
         row = _reduced_coeffs_mod(n, ell)
         assert row.dtype == (np.int64 if ell < 1 << 31 else object), (n, ell)
         assert (_lcm_mod(n, ell) * row % ell).tolist() == [c % ell for c in exact], (n, ell)
+
+
+# p_n_mod against the dense Euclid on A_n mod ell from the integers of
+# L * F_n, for n below 3000 and four kinds of prime: every ell | n, and a
+# drawn ell <= n prime to n, ell in (n/2, n] (m = 1, the interval route's)
+# and ell > n; psi_g_resultant is 0 exactly where P_n is.  The examples
+# hold ell = 2, ell^2 | n (45, 2997 = 3^4 * 37), n = ell^e (9, 1024),
+# G(1) = 0 at ell | n (21 at 3, 33 at 11), P_333 = 0 (mod 37), and below
+# 3000 the largest degree m of G that takes the doubling at ell | n
+# (2184 = 13 * 168 at 13: m = 12); test_psi_g_resultant_pinned holds the
+# largest at ell prime to n
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3000), st.randoms(use_true_random=False))
+@example(2, random.Random(0))
+@example(9, random.Random(0))
+@example(21, random.Random(0))
+@example(33, random.Random(0))
+@example(45, random.Random(0))
+@example(333, random.Random(0))
+@example(1024, random.Random(0))
+@example(2184, random.Random(0))
+@example(2997, random.Random(0))
+def test_p_n_mod_matches_the_dense_reference(n, rng):
+    primes = primes_upto(n)
+    kinds = ([p for p in primes if n % p], [p for p in primes if 2 * p > n])
+    ells = {rng.choice(kind) for kind in kinds if kind} | set(factorize(n)) | {next_prime(n + rng.randrange(n))}
+    for ell in sorted(ells):
+        want = dense_p_n_mod(n, ell)
+        assert p_n_mod(n, ell) == want, (n, ell)
+        if ell <= n:
+            assert (psi_g_resultant(n, ell) == 0) == (want == 0), (n, ell)
 
 
 def test_p_n_mod_rejects_composite_modulus():
@@ -226,7 +256,7 @@ def test_p_n_mod_at_divisor_matches_p_n_mod(n):
 
 def test_p_n_mod_at_a_divisor_runs_only_a_small_resultant(monkeypatch):
     # at p | n, no Euclid of degree n: every resultant_mod_p call takes
-    # rows of at most max(n', (n - 2) // s + 1) terms, s = p^floor(log_p n)
+    # rows of at most deg G + 1 = m + 1 terms, m = n // p^floor(log_p n)
     import logdisc.trunclog as trunclog
 
     seen = []
@@ -237,22 +267,47 @@ def test_p_n_mod_at_a_divisor_runs_only_a_small_resultant(monkeypatch):
         return real(f, g, p)
 
     monkeypatch.setattr(trunclog, "resultant_mod_p", recording)
-    for n in (221, 1197, 9933):
+    for n in (221, 1197, 2184, 9933):
         for p in factorize(n):
             want = dense_p_n_mod(n, p)
             seen.clear()
             assert p_n_mod(n, p) == want, (n, p)
-            s = p ** floor_log(p, n)
-            bound = max(n // p ** int_valuation(n, p), (n - 2) // s + 1)
+            bound = n // p ** floor_log(p, n) + 1
             assert all(max(lens) <= bound for lens in seen), (n, p, seen, bound)
 
 
-def test_p_n_mod_refuses_a_row_off_the_stride(monkeypatch):
-    import logdisc.trunclog as trunclog
+def test_psi_g_resultant_pinned():
+    # the largest degree of G below 3000 at ell prime to n (2808 at 53:
+    # m = 52, psi_2808 doubled mod a degree-51 H) and at ell | n with k = m
+    # (2756 = 52 * 53), both against the dense reference; and the shape of
+    # the value: G(1) = 0, then k = 1 (n = 125 at 5), then m = 1
+    assert p_n_mod(2808, 53) == dense_p_n_mod(2808, 53) == 0
+    assert p_n_mod(2756, 53) == dense_p_n_mod(2756, 53)
+    assert psi_g_resultant(21, 3) == 0
+    assert psi_g_resultant(125, 5) == 1
+    assert psi_g_resultant(100, 53) == 52 and psi_g_resultant(101, 53) == 1  # (-1)^(k-1)
+    with pytest.raises(ValueError, match="at most 10"):
+        psi_g_resultant(10, 11)
 
-    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", off_stride(_reduced_coeffs_mod))
-    with pytest.raises(ArithmeticError, match="A_45 mod 3 "):
-        p_n_mod(45, 3)
+
+def test_verify_rejects_tampered_valuation_records():
+    # tampered valuation records are rejected: G(1) = 0 at (21, 3) while
+    # Res(psi_7, G) != 0, P_333 = 0 (mod 37), a composite r, and interval
+    # primes outside (n/2, n - 2); the genuine records at 21 and 24 pass
+    from logdisc.certify import verify_failure
+
+    assert psi_g_resultant(21, 3) == 0 and psi_g_resultant(333, 37) == 0
+    for n, cert, reason in (
+        (21, Certificate("divisor_valuation", p=3, e=1), "P_21 vanishes mod 3"),
+        (333, Certificate("divisor_valuation", p=37, e=1), "P_333 vanishes mod 37"),
+        (45, Certificate("divisor_valuation", p=9, e=1), "9 is not prime"),
+        (12, Certificate("odd_valuation", ell=5), "outside the interval"),
+        (24, Certificate("odd_valuation", ell=23), "outside the interval"),
+        (24, Certificate("odd_valuation", ell=11), "outside the interval"),
+    ):
+        assert reason in verify_failure(n, cert), (n, cert)
+    assert verify_certificate(21, Certificate("divisor_valuation", p=7, e=1))
+    assert verify_certificate(24, Certificate("odd_valuation", ell=13))
 
 
 def test_p_n_mod_at_divisor_pinned():
