@@ -23,9 +23,10 @@ kinds, among them odd_prime_power_valuation (n = p^e) and split_theorem
 (n = m*q) that older files hold, by one rule (prime r, odd frame
 valuation, P_n / U^(k-1) = Res(psi_k, G) mod r nonzero, trunclog's
 psi_g_resultant, sharing no code with p_n_unit_at_divisor), never
-consults E_m, and takes a witness at any prime n < ell < 2^31 from
-the row A_n / L: by its own DFT (disc_mod) at ell = 1 (mod n), by Euclid
-at older files' ell, and older files' exact kinds by the exact kernel.
+consults E_m, and takes a witness at any prime n < ell < 2^31 from the
+same psi_g_resultant, where G = F_n (disc_mod): by its own DFT at
+ell = 1 (mod n), by Euclid at older files' ell, and older files' exact
+kinds by the exact kernel.
 """
 
 from __future__ import annotations
@@ -207,16 +208,17 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
             return f"{r} is outside the interval ({n // 2}, {n - 2}) for n = 0 (mod 4)"
     elif kind == "odd_prime_power_valuation":
         r, e = cert.p, cert.e
-        # r^e = n needs 2 <= r <= n and 1 <= e <= log2(n); bound both
-        # before the power, whose cost grows with e
-        if not (2 <= r <= n and 1 <= e <= n.bit_length()) or r**e != n:
+        # r^e <= n needs 2 <= r <= n, e >= 1 and e * (bitlen(r) - 1) < bitlen(n),
+        # as r^e >= 2^(e * (bitlen(r) - 1)): bound them before the power,
+        # whose cost grows with e * bitlen(r)
+        if not (2 <= r <= n and 1 <= e) or e * (r.bit_length() - 1) >= n.bit_length() or r**e != n:
             return f"n != {r}^{e}"
         if n % 4 != 1:
             return "prime power route needs n = 1 (mod 4)"
     elif kind == "divisor_valuation":
         r, e = cert.p, cert.e
         # the same bounds before the power; an even e fails the frame check
-        if not (2 <= r <= n and 1 <= e <= n.bit_length()) or n % r**e or n // r**e % r == 0:
+        if not (2 <= r <= n and 1 <= e) or e * (r.bit_length() - 1) >= n.bit_length() or n % r**e or n // r**e % r == 0:
             return f"{r}^{e} does not exactly divide n"
         if n % 4 != 1:
             return "divisor route needs n = 1 (mod 4)"

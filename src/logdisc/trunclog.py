@@ -17,13 +17,13 @@ roots of unity, where L * F_n agrees with its reduced remainder
     a_k = L/k - L/(n-1)        (1 <= k <= n-2),
 
 so P_n = Res(1 + x + ... + x^(n-1), A_n) as well.  The exact route
-evaluates L * F_n (f_tilde) folded mod x^n - 1.  Mod a prime ell > n, A_n
-is built as the row A_n / L (F_n mod the derivative); mod ell <= n, with
+evaluates L * F_n (f_tilde) folded mod x^n - 1.  Mod a prime ell, with
 s = ell^E <= n < ell * s and the unit U = L / s, A_n / U = G(x^s) for
-G(y) = y + ... + y^m/m, m = n // s, and P_n / U^(k-1) = Res(psi_k, G)
-(psi_g_resultant) takes no row of length n.  L enters only P_n's own value,
-in p_n_mod, and cancels in disc_mod.  The witness search takes disc F_n
-mod ell from F_n itself, as sign * n * Res(F_n', F_n) (disc_mod_dft).
+G(y) = s + y + ... + y^m/m, m = n // s, and P_n / U^(k-1) = Res(psi_k, G)
+(psi_g_resultant): at ell <= n, s = 0 mod ell and no row has length n;
+at ell > n, s = 1 and G = F_n.  L enters only P_n's own value, in p_n_mod,
+and cancels in disc_mod.  The witness search takes disc F_n mod ell from
+F_n itself, as sign * n * Res(F_n', F_n) (disc_mod_dft).
 """
 
 from __future__ import annotations
@@ -88,31 +88,20 @@ def _lcm_mod(n: int, ell: int) -> int:
     return out
 
 
-def _reduced_coeffs_mod(n: int, ell: int) -> np.ndarray:
-    """A_n / L mod a prime ell > n, the row F_n mod psi_n of _row_dtype(ell):
-    a_k / L = 1/k - 1/(n-1) and a_0 / L = 1 + 1/n - 1/(n-1)."""
-    inv = [0, 1]
-    for j in range(2, n + 1):  # 1/j = -(ell // j) / (ell mod j)
-        inv.append((ell - ell // j) * inv[ell % j] % ell)
-    t = inv[n - 1]
-    term = (np.array(inv, dtype=_row_dtype(ell)) - t) % ell
-    term[0] = (term[1] + term[n] + t) % ell
-    return term[: n - 1]
-
-
 def psi_g_resultant(n: int, ell: int) -> int:
-    """Res(psi_k, G) mod a prime ell <= n, G(y) = y + y^2/2 + ... + y^m/m for
-    s = ell^floor(log_ell n) and m = n // s < ell: P_n / U^(k-1), U = L / s.
+    """Res(psi_k, G) mod a prime ell, G(y) = s + y + y^2/2 + ... + y^m/m for
+    s = ell^floor(log_ell n), 1 at ell > n, and m = n // s: P_n / U^(k-1), U = L / s.
 
     L * F_n / U = G(x^s) mod ell, as L/j / U = s/j is 0 unless s | j, and
-    y -> y^s permutes the roots of psi_k: k = n if ell does not divide n.
-    Else x^n - 1 = (x^k - 1)^(ell^v) for k = n / ell^v, and P_n = 0 if
-    G(1) = 0.  psi_k mod the monic H = m * G / y doubles on Python lists.
+    y -> y^s permutes the roots of psi_k: k = n if ell does not divide n,
+    and G = F_n at ell > n.  Else x^n - 1 = (x^k - 1)^(ell^v) for
+    k = n / ell^v, and P_n = 0 if G(1) = 0.  At s = 1 and ell = 1 (mod n)
+    below 2^31 the DFT of _split_product takes G folded mod x^n - 1;
+    else Euclid, or psi_k mod the monic H = m * G / y doubles on Python lists.
     """
-    if ell > n:
-        raise ValueError(f"modulus must be at most {n}, got {ell}")
-    m = n // ell ** floor_log(ell, n)
-    G = [0, 1] + [0] * (m - 1)  # whole first: a hopeless m fails here, not in the loop
+    s = ell ** floor_log(ell, n)
+    m = n // s
+    G = [s % ell, 1] + [0] * (m - 1)  # whole first: a hopeless m fails here, not in the loop
     for j in range(2, m + 1):  # 1/j = -(ell // j) / (ell mod j)
         G[j] = (ell - ell // j) * G[ell % j] % ell
     k = n // ell ** int_valuation(n, ell)
@@ -120,8 +109,10 @@ def psi_g_resultant(n: int, ell: int) -> int:
         return 0
     if k == 1:
         return 1
-    if k - 1 <= m:  # every n = p * q divisor record: k = m
-        return resultant_mod_p(psi_poly(k), G, ell)
+    if s == 1 and ell % n == 1 and ell < _NP_MAX_MOD:  # x^n = 1: c_0 = 1 + 1/n
+        return _split_product(np.array([(1 + G[n]) % ell] + G[1:n], dtype=np.int64), ell)
+    if k - 1 <= m:  # every n = p * q divisor record (k = m) and every ell > n (k = n)
+        return resultant_mod_p(psi_poly(k), np.array(G, dtype=_row_dtype(ell)), ell)
     # Res(psi_k, y) = (-1)^(k-1) = Res(psi_k, G) at m = 1, every interval
     # prime; Res(psi_k, G / y) = m^(1-k) (-1)^((k-1)(m-1)) Res(H, psi_k mod H)
     if m == 1:
@@ -150,15 +141,13 @@ def psi_g_resultant(n: int, ell: int) -> int:
 
 
 def p_n_mod(n: int, ell: int) -> int:
-    """P_n mod a prime ell as U^(n-1) * Res(psi_k, B), U = _lcm_mod(n, ell), the
-    one use of L: U^(k-1) = U^(n-1) as ell - 1 divides n - k.  At ell > n, k = n
-    and B is the row A_n / U; at ell <= n, B = G of psi_g_resultant."""
+    """P_n mod a prime ell as U^(n-1) * psi_g_resultant(n, ell), U = _lcm_mod(n, ell),
+    the one use of L: U^(k-1) = U^(n-1) as ell - 1 divides n - k."""
     if n < 2:
         raise ValueError(f"p_n_mod requires n >= 2, got {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    r = psi_g_resultant(n, ell) if ell <= n else resultant_mod_p(psi_poly(n), _reduced_coeffs_mod(n, ell), ell)
-    return pow(_lcm_mod(n, ell), n - 1, ell) * r % ell
+    return pow(_lcm_mod(n, ell), n - 1, ell) * psi_g_resultant(n, ell) % ell
 
 
 def p_n_unit_at_divisor(n: int, p: int) -> bool:
@@ -208,9 +197,8 @@ def disc_exact(n: int) -> DiscReport:
 
 
 def disc_mod(n: int, ell: int) -> int:
-    """disc F_n mod a prime ell > n as sign * n * Res(psi_n, A_n / L), L^(n-1)
-    cancelling in the frame, on _reduced_coeffs_mod's row; disc F_1 = 1.
-    By the DFT of _split_product at ell = 1 (mod n) below 2^31, else by Euclid."""
+    """disc F_n mod a prime ell > n as sign * n * Res(psi_n, F_n) = sign * n *
+    psi_g_resultant(n, ell), L^(n-1) cancelling in the frame; disc F_1 = 1."""
     if n < 1:
         raise ValueError(f"disc_mod requires n >= 1, got {n}")
     if ell <= n:
@@ -219,10 +207,7 @@ def disc_mod(n: int, ell: int) -> int:
         raise ValueError(f"modulus must be prime, got {ell}")
     if n == 1:
         return 1
-    row = _reduced_coeffs_mod(n, ell)
-    split = ell % n == 1 and ell < _NP_MAX_MOD
-    r = _split_product(np.append(row, 0), ell) if split else resultant_mod_p(psi_poly(n), row, ell)
-    return disc_sign(n) * n * r % ell
+    return disc_sign(n) * n * psi_g_resultant(n, ell) % ell
 
 
 def _split_product(c: np.ndarray, ell: int) -> int:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import time
 from functools import lru_cache
@@ -17,7 +18,7 @@ from logdisc.certify import (
     verify_failure,
     witness_search,
 )
-from logdisc.sweep import SweepConfig, run_sweep, verify_file
+from logdisc.sweep import SweepConfig, certificate_to_json, run_sweep, verify_file
 from logdisc.trunclog import disc_exact, disc_mod
 
 
@@ -189,6 +190,24 @@ def test_classify_evaluates_no_theorem_residue(monkeypatch):
 
     monkeypatch.setattr(trunclog_mod, "_lcm_mod", forbidden)
     assert {n: classify(n) for n in want} == want
+
+
+def test_classify_calls_no_verifier_core(monkeypatch):
+    # the producer shares no code with the verifier's P_n check: with
+    # psi_g_resultant and its DFT made to raise, classify still gives the
+    # certificates of 2..1209 whose digest CI pins for the sweep window
+    import logdisc.certify as certify_mod
+    import logdisc.trunclog as trunclog_mod
+
+    def forbidden(*args):
+        raise AssertionError("the verifier's core ran")
+
+    for module, name in ((trunclog_mod, "psi_g_resultant"), (certify_mod, "psi_g_resultant"),
+                         (trunclog_mod, "_split_product")):
+        monkeypatch.setattr(module, name, forbidden)
+    pairs = [[n, certificate_to_json(classify(n))] for n in range(2, 1210)]
+    digest = hashlib.sha256(json.dumps(pairs, sort_keys=True).encode()).hexdigest()
+    assert digest == "82fe46d303c4cbe1378f9e240bf49ac25446e69a566ccc6dc85b6237cbb89a79"
 
 
 def test_classify_reaches_no_exact_kernel(monkeypatch):
@@ -407,6 +426,23 @@ def test_verify_prime_power_bounds_e_before_the_power():
         assert reason is not None and "n != 3^" in reason
     for p in (11, 1, 0, -3):
         assert verify_failure(9, Certificate("odd_prime_power_valuation", p=p, e=2)) is not None
+
+
+def test_verify_bounds_the_power_by_the_size_of_n():
+    # r^e >= 2^(e * (bitlen(r) - 1)) > n rejects a tampered power before it
+    # is taken: at n = 10^4200 + 1, r = 10^4200 - 1 and e = bitlen(n), r^e
+    # would have about 2 * 10^8 bits.  The genuine records at 99005 = 5 * 19801
+    # and 125 = 5^3 still pass
+    n, r = 10**4200 + 1, 10**4200 - 1
+    e = n.bit_length()
+    for kind, reason in (("odd_prime_power_valuation", f"n != {r}^{e}"),
+                         ("divisor_valuation", f"{r}^{e} does not exactly divide n")):
+        t0 = time.perf_counter()
+        assert verify_failure(n, Certificate(kind, p=r, e=e)) == reason
+        assert time.perf_counter() - t0 < 1.0, kind
+    assert verify_certificate(99005, Certificate("divisor_valuation", p=19801, e=1))
+    assert verify_certificate(125, Certificate("divisor_valuation", p=5, e=3))
+    assert verify_certificate(125, Certificate("odd_prime_power_valuation", p=5, e=3))
 
 
 def test_verify_interval_checks_come_before_primality(monkeypatch):

@@ -390,7 +390,7 @@ def test_verify_rejects_valuation_records_the_identity_refutes(tmp_path, capsys)
 def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch):
     # a row too large to allocate is a computational failure, in a command
     # and in a verify check, not a traceback with the usage code 1: the
-    # dense row A_n / L mod ell > n of `pn --mod` and of a witness record
+    # row G = F_n mod ell > n of `pn --mod` and of a witness record
     import logdisc.trunclog as trunclog
 
     out_path = tmp_path / "s.jsonl"
@@ -402,7 +402,7 @@ def test_allocation_failure_exits_two(tmp_path, capsys, monkeypatch):
     def no_memory(n, ell):
         raise MemoryError("Unable to allocate 128. GiB for an array")
 
-    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", no_memory)
+    monkeypatch.setattr(trunclog, "psi_g_resultant", no_memory)
     code, out, err = run(capsys, "pn", "17", "--mod", "19")
     assert (code, out, err) == (2, "", "error: Unable to allocate 128. GiB for an array\n")
     code, out, err = run(capsys, "verify", str(out_path))

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +30,6 @@ from logdisc.arith import (
 from logdisc.certify import Certificate, verify_certificate
 from logdisc.trunclog import (
     _lcm_mod,
-    _reduced_coeffs_mod,
     disc_exact,
     disc_mod,
     disc_mod_dft,
@@ -106,8 +104,9 @@ def test_lcm_mod_matches_lcm_upto():
 
 
 def test_reduced_coeffs_small():
-    # the row is A_n / L mod ell > n: 1/2 for n = 2, and L times it is A_n
-    assert _reduced_coeffs_mod(2, M61).tolist() == [pow(2, -1, M61)]
+    # Res(psi_2, F_2) = F_2(-1) = 1/2 mod ell > 2, and the dense reference's
+    # A_n mod ell: A_2 = 1, A_3 = 5 + 3x, a_0 = L + L/n - L/(n-1)
+    assert psi_g_resultant(2, M61) == pow(2, -1, M61)
     assert a_n_mod(2, M61) == [1]
     assert a_n_mod(3, M61) == [5, 3]
     assert a_n_mod(9, M61)[0] == 2520 + 280 - 315
@@ -173,23 +172,19 @@ def test_p_n_mod_matches_exact():
 def test_reduced_coeffs_mod_matches_exact(n):
     # every prime ell in (n, n + 5], the last int64 modulus 2^31 - 1 and the
     # first object one 2^31 + 11, and two primes near 2^61; primes ell <= n
-    # are test_p_n_mod_matches_the_dense_reference's.  A_n is L * F_n
-    # reduced mod Psi_n: x^n = 1, then x^(n-1) = -(1 + x + ... + x^(n-2)).
-    # The row is A_n / L, so L times it is A_n mod ell
-    exact = f_tilde(n)
-    exact[0] += exact.pop()
-    top = exact.pop()
-    exact = [c - top for c in exact]
+    # are test_p_n_mod_matches_the_dense_reference's.  psi_g_resultant's
+    # G = F_n mod ell > n, on int64 and object rows, against the Euclid on
+    # A_n mod ell from the integers of L * F_n
     for ell in [p for p in primes_upto(n + 5) if p > n] + [(1 << 31) - 1, (1 << 31) + 11, M61, 2305843009212694027]:
-        row = _reduced_coeffs_mod(n, ell)
-        assert row.dtype == (np.int64 if ell < 1 << 31 else object), (n, ell)
-        assert (_lcm_mod(n, ell) * row % ell).tolist() == [c % ell for c in exact], (n, ell)
+        assert p_n_mod(n, ell) == dense_p_n_mod(n, ell), (n, ell)
+        assert disc_mod(n, ell) == dense_disc_mod(n, ell), (n, ell)
 
 
 # p_n_mod against the dense Euclid on A_n mod ell from the integers of
-# L * F_n, for n below 3000 and four kinds of prime: every ell | n, and a
+# L * F_n, for n below 3000 and five kinds of prime: every ell | n, and a
 # drawn ell <= n prime to n, ell in (n/2, n] (m = 1, the interval route's)
-# and ell > n; psi_g_resultant is 0 exactly where P_n is.  The examples
+# and ell > n, and the first ell = 1 (mod n) (the DFT); psi_g_resultant is
+# 0 exactly where P_n is.  The examples
 # hold ell = 2, ell^2 | n (45, 2997 = 3^4 * 37), n = ell^e (9, 1024),
 # G(1) = 0 at ell | n (21 at 3, 33 at 11), P_333 = 0 (mod 37), and below
 # 3000 the largest degree m of G that takes the doubling at ell | n
@@ -209,12 +204,12 @@ def test_reduced_coeffs_mod_matches_exact(n):
 def test_p_n_mod_matches_the_dense_reference(n, rng):
     primes = primes_upto(n)
     kinds = ([p for p in primes if n % p], [p for p in primes if 2 * p > n])
-    ells = {rng.choice(kind) for kind in kinds if kind} | set(factorize(n)) | {next_prime(n + rng.randrange(n))}
+    split = next(ell for ell in range(n + 1, 1 << 31, n) if is_prime(ell))
+    ells = {rng.choice(kind) for kind in kinds if kind} | set(factorize(n)) | {next_prime(n + rng.randrange(n)), split}
     for ell in sorted(ells):
         want = dense_p_n_mod(n, ell)
         assert p_n_mod(n, ell) == want, (n, ell)
-        if ell <= n:
-            assert (psi_g_resultant(n, ell) == 0) == (want == 0), (n, ell)
+        assert (psi_g_resultant(n, ell) == 0) == (want == 0), (n, ell)
 
 
 def test_p_n_mod_rejects_composite_modulus():
@@ -280,14 +275,14 @@ def test_psi_g_resultant_pinned():
     # the largest degree of G below 3000 at ell prime to n (2808 at 53:
     # m = 52, psi_2808 doubled mod a degree-51 H) and at ell | n with k = m
     # (2756 = 52 * 53), both against the dense reference; and the shape of
-    # the value: G(1) = 0, then k = 1 (n = 125 at 5), then m = 1
+    # the value: G(1) = 0, then k = 1 (n = 125 at 5), then m = 1, then
+    # ell > n, where s = 1 and G = F_n: P_10 = 0 (mod 11)
     assert p_n_mod(2808, 53) == dense_p_n_mod(2808, 53) == 0
     assert p_n_mod(2756, 53) == dense_p_n_mod(2756, 53)
     assert psi_g_resultant(21, 3) == 0
     assert psi_g_resultant(125, 5) == 1
     assert psi_g_resultant(100, 53) == 52 and psi_g_resultant(101, 53) == 1  # (-1)^(k-1)
-    with pytest.raises(ValueError, match="at most 10"):
-        psi_g_resultant(10, 11)
+    assert psi_g_resultant(10, 11) == dense_p_n_mod(10, 11) == 0
 
 
 def test_verify_rejects_tampered_valuation_records():
@@ -321,7 +316,8 @@ def test_p_n_mod_at_divisor_pinned():
 
 def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
     # B has (n - 2) // p^floor(log_p n) + 1 terms: neither A_n mod p nor
-    # psi_n is built, the Euclid runs on (psi_n', B), and no L mod p enters
+    # psi_n is built, the Euclid runs on (psi_n', B), no L mod p enters,
+    # and the verifier's core (psi_g_resultant and its DFT) is not called
     import logdisc.trunclog as trunclog
 
     seen = []
@@ -332,11 +328,11 @@ def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
         return real(f, g, p)
 
     def forbidden(*args):
-        raise AssertionError("A_n mod p built")
+        raise AssertionError("the verifier's core or L mod p ran")
 
     monkeypatch.setattr(trunclog, "resultant_mod_p", recording)
-    monkeypatch.setattr(trunclog, "_reduced_coeffs_mod", forbidden)
-    monkeypatch.setattr(trunclog, "_lcm_mod", forbidden)
+    for name in ("psi_g_resultant", "_split_product", "_lcm_mod"):
+        monkeypatch.setattr(trunclog, name, forbidden)
     assert p_n_unit_at_divisor(9993, 3331) is True  # 9993 = 3 * 3331
     assert seen == [(3, 3)]
 
@@ -530,7 +526,8 @@ def test_disc_is_sign_n_res_of_derivative_and_c():
 
 def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
     # neither L * F_n, nor its limb table, nor L mod ell (so no A_n mod
-    # ell): the witness rows are inverses mod ell alone, with no Fermat power
+    # ell), nor the verifier's core: the witness rows are inverses mod ell
+    # alone, with no Fermat power
     import logdisc.poly as poly
     import logdisc.trunclog as trunclog
 
@@ -542,7 +539,7 @@ def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
 
     assert not hasattr(trunclog, "_pow_mod")
     for module, name in ((trunclog, "f_tilde"), (trunclog, "_lcm_mod"), (poly, "_residue_table"),
-                         (poly, "_pow_mod")):
+                         (poly, "_pow_mod"), (trunclog, "psi_g_resultant"), (trunclog, "_split_product")):
         monkeypatch.setattr(module, name, forbidden)
     assert [disc_mod_dft(333, ell) for ell in ells] == want
 
