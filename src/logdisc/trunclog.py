@@ -36,7 +36,7 @@ import numpy as np
 
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, primes_upto
-from .poly import _NP_MAX_MOD, _all_ones_residues, _row_dtype, psi_poly, resultant_exact, resultant_mod_p
+from .poly import _NP_MAX_MOD, _all_ones_residues, psi_poly, resultant_exact, resultant_mod_p
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def psi_g_resultant(n: int, ell: int) -> int:
     if s == 1 and ell % n == 1 and ell < _NP_MAX_MOD:  # x^n = 1: c_0 = 1 + 1/n
         return _split_product(np.array([(1 + G[n]) % ell] + G[1:n], dtype=np.int64), ell)
     if k - 1 <= m:  # every n = p * q divisor record (k = m) and every ell > n (k = n)
-        return resultant_mod_p(psi_poly(k), np.array(G, dtype=_row_dtype(ell)), ell)
+        return resultant_mod_p(psi_poly(k), G, ell)
     # Res(psi_k, y) = (-1)^(k-1) = Res(psi_k, G) at m = 1, every interval
     # prime; Res(psi_k, G / y) = m^(1-k) (-1)^((k-1)(m-1)) Res(H, psi_k mod H)
     if m == 1:

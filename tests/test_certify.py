@@ -468,7 +468,7 @@ def test_verify_witness_modulus_lies_below_two_to_the_31(monkeypatch):
         raise AssertionError("primality or disc_mod reached")
 
     # witness_search stops at 2^31; above it disc_mod's Euclid runs on
-    # object arrays (seconds at n = 2001), and above 2^64 is_prime alone
+    # lists of Python ints (a second at n = 2001), and above 2^64 is_prime alone
     # takes seconds (2^9689 - 1 is a Mersenne prime)
     with monkeypatch.context() as mp:
         mp.setattr(certify_mod, "is_prime", no_call)

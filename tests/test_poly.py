@@ -111,7 +111,7 @@ def test_resultant_mod_p_matches_prs():
 def test_resultant_mod_p_reduces_big_coefficients_exactly():
     # L * F_43 mixes coefficients in [2^63, 2^64) with small ones, where
     # np.asarray infers float64: a list must be reduced by Python ints,
-    # at an int64 modulus and at an object one
+    # below 2^31 and above it
     g = f_tilde(43)
     assert any(1 << 63 <= c < 1 << 64 for c in g) and np.asarray(g).dtype == np.float64
     want = resultant_prs([1] * 43, g)
@@ -140,7 +140,8 @@ def test_resultant_mod_p_rejects_nonmonic():
 
 def test_resultant_mod_p_matches_unity_dft():
     # Euclid mod p against the exact value from the roots-of-unity DFT,
-    # at degrees around 64 and 128 and on int64 and object arrays
+    # at degrees around 64 and 128, on int64 rows down to _NP_MIN_DEG
+    # coefficients and on lists of Python ints below that and above 2^31
     rng = random.Random(2006)
     for n in (5, 64, 65, 127, 128, 138):
         f = psi_poly(n)
@@ -150,7 +151,7 @@ def test_resultant_mod_p_matches_unity_dft():
             assert resultant_mod_p(f, g, p) == exact % p
 
 
-# 2, word primes, the last int64 modulus 2^31 - 1, the first object one
+# 2, word primes, the last int64 modulus 2^31 - 1, the first above it
 # 2^31 + 11, and a 61-bit prime
 EUCLID_PRIMES = [2, 10007, (1 << 31) - 1, (1 << 31) + 11, (1 << 61) - 1]
 
@@ -189,8 +190,7 @@ def test_resultant_mod_p_low_zero_coefficients(data):
     assert got == resultant_prs(f, g) % p
     if shared:
         assert got == 0
-    # int64 rows of the same coefficients take the vectorized reduction
-    # below 2^31 and the Python one above it, to the same value
+    # int64 rows of the same coefficients give the same value
     F, G = np.array(f, dtype=np.int64), np.array(g, dtype=np.int64)
     assert resultant_mod_p(F, G, p) == got
     # the in-place remainder step must work on copies of the caller's
@@ -266,9 +266,11 @@ LAZY_LIMITS = {s: lazy_limit(s) for s in range(3, 25)}
 def test_resultant_mod_p_lazy_reduction_property(data):
     # the first division f mod g takes `steps` quotient steps; p lies
     # below, at or just above the largest prime at which it may skip its
-    # reductions, or among fixed primes (p = 2, 2^31 - 1, and object
-    # arrays from 2^31 up).  Res mod p equals the PRS oracle and euclid
-    # with every step reduced
+    # reductions, or among fixed primes (p = 2, 2^31 - 1, and lists of
+    # Python ints from 2^31 up).  Res mod p equals the PRS oracle and
+    # euclid with every step reduced.  These rows are shorter than
+    # _NP_MIN_DEG, so the gate is lowered to send every division below
+    # 2^31 through _polymod
     dg = data.draw(st.integers(3, 24))
     steps = data.draw(st.integers(3, dg))
     at, above = LAZY_LIMITS[steps]
@@ -285,10 +287,68 @@ def test_resultant_mod_p_lazy_reduction_property(data):
         g.append(data.draw(st.integers(1, p - 1)))
     if data.draw(st.booleans()):
         g.append(p * data.draw(st.integers(1, 3)))  # a leading coefficient = 0 (mod p)
-    got = resultant_mod_p(f, g, p)
-    with mock.patch.object(poly, "_polymod", eager_polymod):
-        eager = resultant_mod_p(f, g, p)
+    with mock.patch.object(poly, "_NP_MIN_DEG", 2):
+        got = resultant_mod_p(f, g, p)
+        with mock.patch.object(poly, "_polymod", eager_polymod):
+            eager = resultant_mod_p(f, g, p)
     assert got == eager == resultant_prs(f, g) % p
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_resultant_mod_p_matches_prs_across_the_gate(data):
+    # degrees 1 to 80 on both sides of _NP_MIN_DEG, either row the longer,
+    # at every modulus of EUCLID_PRIMES; the second row is dense, monic
+    # (then also taken first), x^k * h, zero, or has leading
+    # coefficients = 0 (mod p).  Res mod p equals the PRS oracle
+    p = data.draw(st.sampled_from(EUCLID_PRIMES))
+    small = st.integers(-50, 50)
+    df, dg = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 80))
+    f = data.draw(st.lists(small, min_size=df, max_size=df)) + [1 + p * data.draw(st.integers(-1, 1))]
+    g = data.draw(st.lists(small, min_size=dg, max_size=dg)) + [data.draw(st.integers(1, p - 1))]
+    kind = data.draw(st.sampled_from(["dense", "monic", "shifted", "zero"]))
+    if kind == "monic":
+        g[-1] = 1
+    elif kind == "shifted":
+        k = data.draw(st.integers(1, dg))
+        g = [p * data.draw(st.integers(-2, 2)) for _ in range(k)] + g[: dg + 1 - k]
+    elif kind == "zero":
+        g = [p * c for c in g]
+    g += [p * data.draw(st.integers(1, 3)) for _ in range(data.draw(st.integers(0, 2)))]
+    assert resultant_mod_p(f, g, p) == resultant_prs(f, g) % p
+    if kind == "monic":
+        g = g[: dg + 1]
+        assert resultant_mod_p(g, f, p) == resultant_prs(g, f) % p
+
+
+def test_resultant_mod_p_takes_int64_rows_only_for_long_divisors_below_2_31(monkeypatch):
+    # on a degree-200 int64 input below 2^31, _polymod divides while the
+    # divisor has at least _NP_MIN_DEG coefficients and no further; with
+    # _polymod refusing, short rows below 2^31 and long rows above it
+    # still give the exact value
+    rng = random.Random(2009)
+    n = 200
+    F, G = psi_poly(n), np.array(random_poly(rng, n, cmax=10**3), dtype=np.int64)
+    exact = resultant_exact(n, G.tolist())
+    real, divisors = poly._polymod, []
+
+    def recording(a, b, p):
+        divisors.append(len(b))
+        return real(a, b, p)
+
+    monkeypatch.setattr(poly, "_polymod", recording)
+    assert resultant_mod_p(F, G, 10007) == exact % 10007
+    assert min(divisors) == poly._NP_MIN_DEG and divisors == sorted(divisors, reverse=True)
+
+    def refuse(a, b, p):
+        raise AssertionError("int64 division")
+
+    monkeypatch.setattr(poly, "_polymod", refuse)
+    f, g = random_poly(rng, poly._NP_MIN_DEG - 2, lead_one=True), random_poly(rng, 2 * n)
+    for p in (2, 10007, (1 << 31) - 1):
+        assert resultant_mod_p(f, g, p) == resultant_prs(f, g) % p
+    for p in ((1 << 31) + 11, (1 << 61) - 1):
+        assert resultant_mod_p(F, G, p) == exact % p
 
 
 def test_resultant_exact_matches_prs_random():

@@ -170,10 +170,10 @@ def test_p_n_mod_matches_exact():
 
 @pytest.mark.parametrize("n", list(range(2, 41)) + [64, 243, 1000, 1024])
 def test_reduced_coeffs_mod_matches_exact(n):
-    # every prime ell in (n, n + 5], the last int64 modulus 2^31 - 1 and the
-    # first object one 2^31 + 11, and two primes near 2^61; primes ell <= n
+    # every prime ell in (n, n + 5], the last prime below 2^31, 2^31 - 1, the
+    # first above it, 2^31 + 11, and two primes near 2^61; primes ell <= n
     # are test_p_n_mod_matches_the_dense_reference's.  psi_g_resultant's
-    # G = F_n mod ell > n, on int64 and object rows, against the Euclid on
+    # G = F_n mod ell > n, below and above 2^31, against the Euclid on
     # A_n mod ell from the integers of L * F_n
     for ell in [p for p in primes_upto(n + 5) if p > n] + [(1 << 31) - 1, (1 << 31) + 11, M61, 2305843009212694027]:
         assert p_n_mod(n, ell) == dense_p_n_mod(n, ell), (n, ell)
@@ -391,7 +391,7 @@ def test_disc_mod_matches_exact_reduction():
 @given(st.integers(3, 150), st.integers(1, 2000), st.integers(1, 5000), st.integers(0, 1 << 20))
 def test_disc_mod_matches_exact_reduction_property(n, k, j, t):
     # three primes ell > n: one = 1 (mod n), one != 1 (mod n) (n = 2 has
-    # none), and one above 2^31, where euclid runs on object arrays
+    # none), and one above 2^31, where euclid runs on lists of Python ints
     ell = k * n + 1
     while not is_prime(ell):
         ell += n
@@ -423,7 +423,7 @@ def test_disc_mod_split_path_matches_dense_euclid(n):
 
 def test_disc_mod_split_path_stops_below_two_to_the_31(monkeypatch):
     # 2^31 - 1 = 1 (mod 33) takes the DFT, 2147483713 = 1 (mod 33) above
-    # 2^31 the object-row Euclid; both values are pinned from Euclid
+    # 2^31 the Euclid on lists of Python ints; both values are pinned from Euclid
     import logdisc.trunclog as trunclog
 
     real, calls = trunclog._split_product, []
@@ -469,7 +469,7 @@ def test_disc_mod_computes_no_lcm(monkeypatch):
 
 # the Euclid path of disc_mod against the L-route reference: a prime
 # ell != 1 (mod n) above n (n = 2 has none), and a prime ell = 1 (mod n)
-# from 2^31 up, where the rows are object arrays
+# from 2^31 up, where Euclid runs on lists of Python ints
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 600), st.integers(0, 5000), st.integers(0, 1 << 20))
 @example(3, 0, 0)
