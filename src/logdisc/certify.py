@@ -178,8 +178,8 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         ell, res = cert.ell, cert.residue
         if n < 2:
             return "witness route needs n >= 2"
-        # the bound of witness_search: it keeps is_prime a proof and
-        # disc_mod on int64, by its DFT or its Euclid
+        # witness_search's bound, kept to match its range: disc_mod would
+        # hold above it (Euclid on lists), and is_prime is a proof to 2^64
         if ell >= _NP_MAX_MOD:
             return f"witness modulus has {ell.bit_length()} bits; it must lie below 2^31"
         if ell <= n or not is_prime(ell):

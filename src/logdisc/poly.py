@@ -1,8 +1,8 @@
 """Integer polynomials and exact resultants.
 
-Polynomials are coefficient rows in ascending degree order, lists of
-ints or numpy rows; mod p, Euclid divides int64 rows below 2^31 while
-the divisor is long (_NP_MIN_DEG) and lists of Python ints otherwise.
+Polynomials are coefficient lists of ints in ascending degree order;
+mod p, Euclid divides int64 rows below 2^31 while the divisor is long
+(_NP_MIN_DEG) and lists of Python ints otherwise.
 
 Two resultant routes live here:
 
@@ -42,13 +42,6 @@ _NP_MAX_MOD = 1 << 31
 # against numpy's 0.17 ms at n = 24, 0.53 against 0.44 ms at n = 64, and
 # gates from 24 to 40 tie within 7% for n from 24 to 333
 _NP_MIN_DEG = 32
-
-
-def psi_poly(n: int) -> np.ndarray:
-    """1 + x + ... + x^(n-1), the derivative of the degree-n truncated log, as an int64 row."""
-    if n < 2:
-        raise ValueError(f"psi_poly requires n >= 2, got {n}")
-    return np.ones(n, dtype=np.int64)
 
 
 def _polymod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -109,7 +102,7 @@ def _polymod_list(a: list[int], b: list[int], p: int) -> list[int]:
     return r
 
 
-def resultant_mod_p(f: list[int] | np.ndarray, g: list[int] | np.ndarray, p: int) -> int:
+def resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
     """Res(f, g) mod p for f monic modulo p of degree >= 1.
 
     Handles any drop in the degree of g mod p; returns 0 exactly when
@@ -117,13 +110,9 @@ def resultant_mod_p(f: list[int] | np.ndarray, g: list[int] | np.ndarray, p: int
     Euclid runs on fresh rows, never on the caller's: int64 rows
     (_polymod) while p < _NP_MAX_MOD and the divisor has at least
     _NP_MIN_DEG coefficients, lists of Python ints (_polymod_list) for
-    every shorter divisor and every larger p.  The k low zero
-    coefficients of g come out first, since for monic f
-    Res(f, x^k h) = ((-1)^deg f * f(0))^k * Res(f, h): a monomial g takes
-    no division.
+    every shorter divisor and every larger p.
     """
-    a, b = ([c % p for c in h.tolist()] if isinstance(h, np.ndarray) else [int(c) % p for c in h]
-            for h in (f, g))
+    a, b = ([int(c) % p for c in h] for h in (f, g))
     while a and not a[-1]:
         a.pop()
     if len(a) < 2 or a[-1] != 1:
@@ -132,9 +121,7 @@ def resultant_mod_p(f: list[int] | np.ndarray, g: list[int] | np.ndarray, p: int
         b.pop()
     if not b:
         return 0
-    k = next(i for i, c in enumerate(b) if c)
-    res = pow(-a[0] if (len(a) - 1) & 1 else a[0], k, p)
-    b = b[k:]
+    res = 1
     # the first division's divisor is the shorter row
     wide = p < _NP_MAX_MOD and min(len(a), len(b)) >= _NP_MIN_DEG
     if wide:
@@ -480,7 +467,7 @@ def resultant_exact(n: int, g: list[int]) -> int:
     for i in range(0, k, _BATCH):
         P = np.array(moduli[i : min(i + _BATCH, k)], dtype=np.int64)
         residues += _all_ones_residues(n, _residue_table(a, P), P)
-    f = psi_poly(n)
+    f = [1] * n
     residues += [resultant_mod_p(f, g, p) for p in moduli[k:]]
 
     # symmetric representative; an actual zero resultant lands on 0 here

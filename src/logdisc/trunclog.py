@@ -36,7 +36,7 @@ import numpy as np
 
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, primes_upto
-from .poly import _NP_MAX_MOD, _all_ones_residues, psi_poly, resultant_exact, resultant_mod_p
+from .poly import _NP_MAX_MOD, _all_ones_residues, _polymod_list, resultant_exact, resultant_mod_p
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def psi_g_resultant(n: int, ell: int) -> int:
     if s == 1 and ell % n == 1 and ell < _NP_MAX_MOD:  # x^n = 1: c_0 = 1 + 1/n
         return _split_product(np.array([(1 + G[n]) % ell] + G[1:n], dtype=np.int64), ell)
     if k - 1 <= m:  # every n = p * q divisor record (k = m) and every ell > n (k = n)
-        return resultant_mod_p(psi_poly(k), G, ell)
+        return resultant_mod_p([1] * k, G, ell)
     # Res(psi_k, y) = (-1)^(k-1) = Res(psi_k, G) at m = 1, every interval
     # prime; Res(psi_k, G / y) = m^(1-k) (-1)^((k-1)(m-1)) Res(H, psi_k mod H)
     if m == 1:
@@ -151,13 +151,15 @@ def p_n_mod(n: int, ell: int) -> int:
 
 
 def p_n_unit_at_divisor(n: int, p: int) -> bool:
-    """Whether P_n != 0 mod a prime p | n, by a resultant of degree <= max(n' - 1, (n - 2) // s).
+    """Whether P_n != 0 mod a prime p | n, by a resultant of degree <= (n - 2) // s.
 
     Mod p, with s = p^floor(log_p n) and L = s * U, A_n = U * B(x^s) for
     B(y) = (1/(n/s) if s | n else 0) + sum_(1 <= j <= (n-2)/s) y^j / j.
     x^n - 1 = (x^n' - 1)^(p^v) with n' = n / p^v, v = v_p(n), and y -> y^s
     permutes the n'-th roots of unity: P_n = U^(n'-1) * Res(psi_n', B) if
-    B(1) != 0, else 0, and the unit U is never computed.
+    B(1) != 0, else 0, and the unit U is never computed.  At p^(v+1) > n,
+    psi_n' is no longer than B; else, with B(1) != 0, Res(psi_n', B) = 0
+    exactly when Res(B / lc B, (x^n' mod B) - 1) = 0, x^n' by squaring.
     """
     if n < 2 or n % p:
         raise ValueError(f"p_n_unit_at_divisor requires a prime divisor of n >= 2, got {p} for n = {n}")
@@ -166,7 +168,19 @@ def p_n_unit_at_divisor(n: int, p: int) -> bool:
         return True  # n = s, and B = [1]
     s = p ** floor_log(p, n)
     B = [pow(n // s, -1, p) if n % s == 0 else 0] + [pow(j, -1, p) for j in range(1, (n - 2) // s + 1)]
-    return sum(B) % p != 0 and resultant_mod_p(psi_poly(n1), B, p) != 0
+    if sum(B) % p == 0:
+        return False
+    if n1 <= len(B):
+        return resultant_mod_p([1] * n1, B, p) != 0
+    inv = pow(B[-1], -1, p)
+    B, r = [c * inv % p for c in B], [1]
+    for bit in bin(n1)[2:]:  # r = x^j mod B; x^2j, then x^(2j+1) = x * x^2j
+        sq = [0] * (2 * len(r) - 1 + (bit == "1"))
+        for i, u in enumerate(r, bit == "1"):
+            for j, v in enumerate(r, i):
+                sq[j] += u * v
+        r = _polymod_list([c % p for c in sq], B, p)
+    return resultant_mod_p(B, [(r[0] if r else 0) - 1] + r[1:], p) != 0
 
 
 def frame_valuation(n: int, p: int) -> int:
@@ -205,8 +219,6 @@ def disc_mod(n: int, ell: int) -> int:
         raise ValueError(f"modulus too small: {ell} <= {n}")
     if not is_prime(ell):
         raise ValueError(f"modulus must be prime, got {ell}")
-    if n == 1:
-        return 1
     return disc_sign(n) * n * psi_g_resultant(n, ell) % ell
 
 

@@ -16,7 +16,7 @@ from itertools import chain
 
 from logdisc.arith import factorize, harmonic, int_valuation, is_prime, lcm_upto
 from logdisc.certify import bertrand_prime
-from logdisc.poly import psi_poly, resultant_mod_p
+from logdisc.poly import resultant_mod_p
 from logdisc.trunclog import _lcm_mod, disc_sign, f_tilde, in_exceptional_set, x_of
 
 
@@ -147,7 +147,7 @@ def a_n_mod(n: int, ell: int) -> list[int]:
 def dense_p_n_mod(n: int, ell: int) -> int:
     """P_n mod a prime ell by Euclid on (psi_n, A_n mod ell), the dense
     reference for p_n_mod at every ell, ell | n included."""
-    return resultant_mod_p(psi_poly(n), a_n_mod(n, ell), ell)
+    return resultant_mod_p([1] * n, a_n_mod(n, ell), ell)
 
 
 def dense_disc_mod(n: int, ell: int) -> int:

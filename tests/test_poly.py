@@ -17,7 +17,6 @@ from logdisc.poly import (
     _descending_primes_1_mod_n,
     _order_n_root,
     _unity_dft,
-    psi_poly,
     resultant_exact,
     resultant_mod_p,
 )
@@ -42,14 +41,6 @@ def test_poly_mul_and_eval():
     assert poly_mul([1, 1], [1, 1]) == [1, 2, 1]
     assert poly_mul([], [1, 2]) == []
     assert poly_eval([1, 2, 3], 10) == 321
-
-
-def test_psi_poly():
-    for n in (2, 5):
-        row = psi_poly(n)
-        assert row.dtype == np.int64 and row.tolist() == [1] * n
-    with pytest.raises(ValueError):
-        psi_poly(1)
 
 
 def test_resultant_prs_hand_values():
@@ -116,7 +107,7 @@ def test_resultant_mod_p_reduces_big_coefficients_exactly():
     assert any(1 << 63 <= c < 1 << 64 for c in g) and np.asarray(g).dtype == np.float64
     want = resultant_prs([1] * 43, g)
     for p in ((1 << 31) - 1, (1 << 61) - 1):
-        assert resultant_mod_p(psi_poly(43), g, p) == want % p, p
+        assert resultant_mod_p([1] * 43, g, p) == want % p, p
 
 
 def test_resultant_mod_p_degree_drop_in_g():
@@ -144,7 +135,7 @@ def test_resultant_mod_p_matches_unity_dft():
     # coefficients and on lists of Python ints below that and above 2^31
     rng = random.Random(2006)
     for n in (5, 64, 65, 127, 128, 138):
-        f = psi_poly(n)
+        f = [1] * n
         g = random_poly(rng, n, cmax=10**3)
         exact = resultant_exact(n, g)
         for p in (10007, (1 << 31) - 1, (1 << 61) - 1):
@@ -160,9 +151,8 @@ EUCLID_PRIMES = [2, 10007, (1 << 31) - 1, (1 << 31) + 11, (1 << 61) - 1]
 @given(st.data())
 def test_resultant_mod_p_low_zero_coefficients(data):
     # g = x^k * h mod p of degree d, h(0) != 0 (mod p), for every k from
-    # 0 to d: resultant_mod_p strips x^k by
-    # Res(f, x^k h) = ((-1)^deg f * f(0))^k * Res(f, h), and must equal
-    # the PRS oracle, also where f(0) = 0 (mod p), where g has a leading
+    # 0 to d: Euclid on a g with g(0) = 0 (mod p) must equal the PRS
+    # oracle, also where f(0) = 0 (mod p), where g has a leading
     # coefficient = 0 (mod p), and where f and g share a factor
     p = data.draw(st.sampled_from(EUCLID_PRIMES))
     d = data.draw(st.integers(0, 40))
@@ -328,7 +318,7 @@ def test_resultant_mod_p_takes_int64_rows_only_for_long_divisors_below_2_31(monk
     # still give the exact value
     rng = random.Random(2009)
     n = 200
-    F, G = psi_poly(n), np.array(random_poly(rng, n, cmax=10**3), dtype=np.int64)
+    F, G = np.ones(n, dtype=np.int64), np.array(random_poly(rng, n, cmax=10**3), dtype=np.int64)
     exact = resultant_exact(n, G.tolist())
     real, divisors = poly._polymod, []
 
@@ -649,7 +639,7 @@ def test_resultant_exact_against_complex_roots():
     # 1 + x + ... + x^(n-1), to relative tolerance
     rng = random.Random(2009)
     for _ in range(30):
-        f = psi_poly(rng.randrange(2, 8))
+        f = [1] * rng.randrange(2, 8)
         g = random_poly(rng, rng.randrange(1, 6), cmax=8)
         exact = resultant_exact(len(f), g)
         roots = np.roots(list(reversed(f)))

@@ -27,7 +27,7 @@ from logdisc.arith import (
     next_prime,
     primes_upto,
 )
-from logdisc.certify import Certificate, verify_certificate
+from logdisc.certify import Certificate, classify, verify_certificate
 from logdisc.trunclog import (
     _lcm_mod,
     disc_exact,
@@ -310,14 +310,19 @@ def test_p_n_mod_at_divisor_pinned():
     assert p_n_unit_at_divisor(333, 37) is False
     assert p_n_unit_at_divisor(1197, 19) is True and p_n_mod(1197, 19) != 0
     assert p_n_unit_at_divisor(125, 5) is True  # n' = 1
+    # n = 5 * 1000003^2: psi_n' would have n / 5 = 1000006000009 terms; x^n' mod B = y is 0
+    far = 5 * 1000003**2
+    assert p_n_unit_at_divisor(far, 5) is True
+    assert verify_certificate(far, classify(far))
     with pytest.raises(ValueError):
         p_n_unit_at_divisor(45, 7)
 
 
 def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
     # B has (n - 2) // p^floor(log_p n) + 1 terms: neither A_n mod p nor
-    # psi_n is built, the Euclid runs on (psi_n', B), no L mod p enters,
-    # and the verifier's core (psi_g_resultant and its DFT) is not called
+    # psi_n is built, no resultant takes a row longer than B (psi_n' only
+    # where it is no longer, else x^n' mod B), no L mod p enters, and the
+    # verifier's core (psi_g_resultant and its DFT) is not called
     import logdisc.trunclog as trunclog
 
     seen = []
@@ -335,6 +340,10 @@ def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
         monkeypatch.setattr(trunclog, name, forbidden)
     assert p_n_unit_at_divisor(9993, 3331) is True  # 9993 = 3 * 3331
     assert seen == [(3, 3)]
+    for n, p in ((45, 5), (5 * 1000003**2, 5)):  # B = y: s = 25, then 5^18
+        seen.clear()
+        assert p_n_unit_at_divisor(n, p) is True
+        assert seen and all(max(lens) <= 2 for lens in seen), (n, seen)
 
 
 def test_disc_sign_rule():
