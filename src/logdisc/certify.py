@@ -11,7 +11,7 @@ claim from scratch.  Routes, in the order tried:
                               tried over such p, largest first
   * otherwise, n = 4 too      quadratic non-residue witness search;
                               unresolved if no witness turns up within
-                              max_witness_attempts primes
+                              _MAX_WITNESS_ATTEMPTS primes
 
 The producer runs no Euclid of degree n, no exact arithmetic and never
 computes L: the interval route is chosen from the shape of n, the divisor
@@ -63,6 +63,9 @@ _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # write them
 CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
 _EXACT_MAX_N = 1000  # largest n whose exact claims verify_failure recomputes
+# primes the witness search tries before classify answers unresolved; the 211
+# witness-route n = 1 (mod 4) in 5..10^5 need at most 7 (441, 15125), n = 4 needs 5
+_MAX_WITNESS_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -75,11 +78,6 @@ class Certificate:
     q: int | None = None
     residue: int | None = None
     witness_attempts: int | None = None
-
-
-@dataclass(frozen=True)
-class ClassifyConfig:
-    max_witness_attempts: int = 200
 
 
 def bertrand_prime(n: int) -> int:
@@ -115,14 +113,13 @@ def witness_search(n: int, max_attempts: int) -> tuple[int, int] | None:
     return None
 
 
-def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
+def classify(n: int) -> Certificate:
     """Certificate that disc F_n is not a square of a rational.
 
     The interval route is chosen from the shape of n alone: its
     congruence keeps P_n a unit at ell, and verify_failure rechecks it.
     The divisor route evaluates P_n mod p before it claims a unit.
     """
-    cfg = config or ClassifyConfig()
     if n < 1:
         raise ValueError(f"classify requires n >= 1, got {n}")
     if n == 1:
@@ -139,10 +136,10 @@ def classify(n: int, config: ClassifyConfig | None = None) -> Certificate:
         if p_n_unit_at_divisor(n, p):
             return Certificate("divisor_valuation", p=p, e=fac[p])
 
-    found = witness_search(n, cfg.max_witness_attempts)
+    found = witness_search(n, _MAX_WITNESS_ATTEMPTS)
     if found is not None:
         return Certificate("non_residue_witness", ell=found[0], residue=found[1])
-    return Certificate("unresolved", witness_attempts=cfg.max_witness_attempts)
+    return Certificate("unresolved", witness_attempts=_MAX_WITNESS_ATTEMPTS)
 
 
 def verify_failure(n: int, cert: Certificate) -> str | None:

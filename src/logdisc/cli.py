@@ -13,7 +13,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from .arith import FactorizationBudgetError
-from .certify import ClassifyConfig, classify
+from .certify import classify
 from .sweep import (
     SweepConfig,
     SweepFileError,
@@ -49,10 +49,6 @@ def build_parser() -> _Parser:
         "logarithm polynomials, with non-squareness certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # classify and sweep share this; the default lives in ClassifyConfig
-    classify_opts = argparse.ArgumentParser(add_help=False)
-    classify_opts.add_argument("--max-witness-attempts", type=_positive_int,
-                               default=ClassifyConfig().max_witness_attempts)
 
     p_disc = sub.add_parser("disc", help="discriminant data for one n")
     p_disc.add_argument("n", type=_positive_int)
@@ -68,12 +64,10 @@ def build_parser() -> _Parser:
     p_xy = sub.add_parser("xy", help="X(m), Y(m) and the exceptional prime set")
     p_xy.add_argument("m", type=_positive_int)
 
-    p_cls = sub.add_parser("classify", parents=[classify_opts],
-                           help="non-squareness certificate for one n")
+    p_cls = sub.add_parser("classify", help="non-squareness certificate for one n")
     p_cls.add_argument("n", type=_positive_int)
 
-    p_sweep = sub.add_parser("sweep", parents=[classify_opts],
-                             help="classify a range of n into a JSONL file")
+    p_sweep = sub.add_parser("sweep", help="classify a range of n into a JSONL file")
     p_sweep.add_argument("--from", dest="start", type=_positive_int, required=True)
     p_sweep.add_argument("--to", dest="stop", type=_positive_int, required=True)
     p_sweep.add_argument("--filter", choices=("all", "mod4eq1", "odd-squares"), default="all")
@@ -121,7 +115,7 @@ def _cmd_xy(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cert = classify(args.n, ClassifyConfig(args.max_witness_attempts))
+    cert = classify(args.n)
     record = {
         "n": args.n,
         "status": status_of(cert),
@@ -138,7 +132,6 @@ def _cmd_sweep(args) -> int:
         out=args.out,
         filter=args.filter,
         jobs=args.jobs,
-        classify=ClassifyConfig(args.max_witness_attempts),
         resume=args.resume,
     )
     try:

@@ -19,7 +19,7 @@ from itertools import islice, starmap
 from pathlib import Path
 
 from . import __version__
-from .certify import CERT_INT_FIELDS, CERT_KINDS, Certificate, ClassifyConfig, classify, verify_failure
+from .certify import CERT_INT_FIELDS, CERT_KINDS, Certificate, classify, verify_failure
 
 
 class SweepFileError(Exception):
@@ -33,7 +33,6 @@ class SweepConfig:
     out: str
     filter: str = "all"
     jobs: int = 1
-    classify: ClassifyConfig = field(default_factory=ClassifyConfig)
     resume: bool = False
 
     def __post_init__(self) -> None:
@@ -138,7 +137,7 @@ def status_of(cert: Certificate) -> str:
     return cert.kind if cert.kind in ("counterexample", "unresolved") else "certified"
 
 
-def classify_record(n: int, config: ClassifyConfig) -> dict:
+def classify_record(n: int) -> dict:
     """One SweepRecord as a plain dict; never raises.
 
     Failures inside classify are demoted to an unresolved record with a
@@ -147,7 +146,7 @@ def classify_record(n: int, config: ClassifyConfig) -> dict:
     t0 = time.perf_counter()
     error = None
     try:
-        cert = classify(n, config)
+        cert = classify(n)
     except Exception as exc:  # worker survival: any error becomes a record
         cert = Certificate("unresolved", witness_attempts=0)
         error = f"{type(exc).__name__}: {exc}"
@@ -165,7 +164,10 @@ def classify_record(n: int, config: ClassifyConfig) -> dict:
 
 
 def _parse_record(line: str) -> tuple[dict, Certificate]:
-    rec = _RECORD_DECODER.decode(line)
+    try:
+        rec = _RECORD_DECODER.decode(line)
+    except RecursionError:  # brackets nested past the decoder's stack
+        raise ValueError("record nests too deeply") from None
     if not isinstance(rec, dict):
         raise ValueError("record is not an object")
     n = rec.get("n")
@@ -236,7 +238,7 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
                 print(f"n={rec['n']}: {rec['status']}", file=log)
 
         jobs = config.jobs if len(targets) > 1 else 1
-        for rec in _pool_map(classify_record, ((n, config.classify) for n in targets), jobs):
+        for rec in _pool_map(classify_record, ((n,) for n in targets), jobs):
             emit(rec)
     summary.wall_s = time.perf_counter() - t0
     return summary

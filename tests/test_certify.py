@@ -11,7 +11,6 @@ from helpers import dense_disc_mod, rat_valuation
 from logdisc.arith import is_prime, is_rational_square
 from logdisc.certify import (
     Certificate,
-    ClassifyConfig,
     bertrand_prime,
     classify,
     verify_certificate,
@@ -155,8 +154,9 @@ def test_classify_deterministic():
 def test_classify_unresolved_when_starved(monkeypatch):
     import logdisc.certify as certify_mod
 
-    cfg = ClassifyConfig(max_witness_attempts=0)
-    cert = classify(25, cfg)
+    # classify reads the budget at call time
+    monkeypatch.setattr(certify_mod, "_MAX_WITNESS_ATTEMPTS", 0)
+    cert = classify(25)
     assert cert == Certificate("unresolved", witness_attempts=0)
     assert verify_certificate(25, cert) is False
 
@@ -166,8 +166,8 @@ def test_classify_unresolved_when_starved(monkeypatch):
         raise AssertionError(f"disc_exact({n}) called")
 
     monkeypatch.setattr(certify_mod, "disc_exact", no_exact)
-    assert classify(9, ClassifyConfig(max_witness_attempts=2)) == Certificate(
-        "unresolved", witness_attempts=2)
+    monkeypatch.setattr(certify_mod, "_MAX_WITNESS_ATTEMPTS", 2)
+    assert classify(9) == Certificate("unresolved", witness_attempts=2)
 
 
 def test_classify_evaluates_no_theorem_residue(monkeypatch):

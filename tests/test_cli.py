@@ -83,13 +83,19 @@ def test_pn_333_lifts_the_digit_limit_for_the_call_only(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-def test_classify_unresolved_exit_code(capsys):
-    code, out, _ = run(capsys, "classify", "25", "--max-witness-attempts", "1")
-    rec = json.loads(out)
-    if rec["status"] == "unresolved":
-        assert code == 4
-    else:
-        assert code == 0
+def square_residues_only(monkeypatch):
+    # every disc F_n mod ell reads 1, a square: the witness search of an
+    # odd square n tries its whole budget and finds nothing
+    import logdisc.certify as certify_mod
+
+    monkeypatch.setattr(certify_mod, "disc_mod_dft", lambda n, ell: 1)
+
+
+def test_classify_unresolved_exit_code(capsys, monkeypatch):
+    square_residues_only(monkeypatch)
+    code, out, _ = run(capsys, "classify", "9")
+    assert code == 4
+    assert json.loads(out)["certificate"] == {"type": "unresolved", "witness_attempts": "200"}
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -108,28 +114,33 @@ def test_usage_errors(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "sweep", "--help")[0] == 0
-    # classify and sweep share the classify option; the exact fallback's
-    # flags are gone from both
+    # the witness budget and the exact fallback's flags are gone from both
     for command in ("classify", "sweep"):
         code, out, _ = run(capsys, command, "--help")
         assert code == 0
-        assert "--max-witness-attempts" in out
+        assert "--max-witness-attempts" not in out
         assert "--exact-degree-cap" not in out and "--no-exact-fallback" not in out
 
 
-def test_removed_exact_fallback_flags_are_usage_errors(capsys):
+def test_removed_exact_fallback_flags_are_usage_errors(capsys, tmp_path):
     assert run(capsys, "classify", "9", "--exact-degree-cap", "8")[0] == 1
     assert run(capsys, "classify", "9", "--no-exact-fallback")[0] == 1
-
-
-def test_sweep_passes_classify_options(tmp_path, capsys):
-    # n = 9 needs the witness search, and one attempt finds no witness
+    # the witness budget is a constant of certify, not an option
+    assert run(capsys, "classify", "9", "--max-witness-attempts", "1")[0] == 1
     out_path = tmp_path / "s.jsonl"
-    code, out, _ = run(capsys, "sweep", "--from", "9", "--to", "9", "--out", str(out_path),
-                       "--max-witness-attempts", "1")
+    assert run(capsys, "sweep", "--from", "9", "--to", "9", "--out", str(out_path),
+               "--max-witness-attempts", "1")[0] == 1
+    assert not out_path.exists()
+
+
+def test_sweep_passes_classify_options(tmp_path, capsys, monkeypatch):
+    # n = 9 needs the witness search, which finds no witness in its budget
+    square_residues_only(monkeypatch)
+    out_path = tmp_path / "s.jsonl"
+    code, out, _ = run(capsys, "sweep", "--from", "9", "--to", "9", "--out", str(out_path))
     assert code == 4 and "unresolved 1" in out
     rec = json.loads(out_path.read_text())
-    assert rec["certificate"] == {"type": "unresolved", "witness_attempts": "1"}
+    assert rec["certificate"] == {"type": "unresolved", "witness_attempts": "200"}
 
 
 def test_computational_errors_exit_two(capsys):
@@ -218,6 +229,8 @@ def test_verify_refuses_an_oversized_integer_before_converting_it(tmp_path, caps
         # 4,300 digits are read, and the claim is then checked and rejected
         {"n": 33, "status": "certified",
          "certificate": {"type": "non_residue_witness", "ell": "1" * 4300, "residue": "3"}},
+        # 1,000 nested brackets: past the JSON decoder's recursion limit
+        '{"n": %s}' % ("[" * 1000 + "]" * 1000),
     ]
     path = tmp_path / "big.jsonl"
     path.write_text("".join((x if isinstance(x, str) else json.dumps(x)) + "\n" for x in lines))
@@ -231,8 +244,14 @@ def test_verify_refuses_an_oversized_integer_before_converting_it(tmp_path, caps
     assert "line 1: malformed: field ell is not a canonical decimal of at most 4300 digits" in out
     assert "line 2: malformed: an integer is not a canonical decimal" in out
     assert "n=33: INVALID" in out and "below 2^31" in out
-    assert "checked 3 records: 2 malformed, 1 invalid" in out
+    assert "line 4: malformed: record nests too deeply" in out
+    assert "checked 4 records: 3 malformed, 1 invalid" in out
     assert resumed == 2 and "corrupt record on byte 0" in err
+    # the nested line alone: resume refuses it the same way, with no traceback
+    path.write_text(lines[-1] + "\n")
+    resumed, _, err = run(capsys, "sweep", "--from", "2", "--to", "3", "--out", str(path),
+                          "--resume")
+    assert resumed == 2 and "corrupt record on byte 0: record nests too deeply" in err
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -240,7 +259,7 @@ def test_verify_refuses_an_oversized_integer_before_converting_it(tmp_path, caps
 def test_sweep_dead_worker_exits_two(tmp_path, capsys, monkeypatch):
     import logdisc.sweep as sweep_mod
 
-    def die(n, config):
+    def die(n):
         os._exit(1)
 
     # the pool pickles classify_record by name, so the patch goes one

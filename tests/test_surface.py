@@ -18,7 +18,6 @@ def test_readme_library_example_runs():
 def test_all_is_the_documented_api():
     assert sorted(logdisc.__all__) == [
         "Certificate",
-        "ClassifyConfig",
         "classify",
         "disc_exact",
         "disc_mod",

@@ -112,7 +112,7 @@ def test_sweep_config_validation():
 
 
 def test_classify_record_shape():
-    rec = classify_record(13, None)
+    rec = classify_record(13)
     assert rec["n"] == 13
     assert rec["status"] == "certified"
     assert rec["certificate"] == {"type": "divisor_valuation", "p": "13", "e": "1"}
@@ -123,11 +123,11 @@ def test_classify_record_shape():
 def test_classify_record_survives_internal_errors(monkeypatch):
     import logdisc.sweep as sweep_mod
 
-    def boom(n, config):
+    def boom(n):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(sweep_mod, "classify", boom)
-    rec = sweep_mod.classify_record(7, None)
+    rec = sweep_mod.classify_record(7)
     assert rec["status"] == "unresolved"
     assert "synthetic failure" in rec["error"]
 
