@@ -1,51 +1,40 @@
 """Non-squareness certificates for truncated logarithm discriminants.
 
-classify(n) picks the cheapest available route and returns a small,
-independently checkable Certificate; verify_certificate replays the
-claim from scratch.  Routes, in the order tried:
-
-  * n = 1                     trivial (linear polynomial)
-  * n = 2, 3 (mod 4)          negative discriminant
-  * n = 0 (mod 4), n >= 8     odd valuation at a prime in (n/2, n-2)
-  * p^e || n, e odd           odd valuation at p, if P_n mod p != 0,
-                              tried over such p, largest first
-  * otherwise, n = 4 too      quadratic non-residue witness search;
-                              unresolved if no witness turns up within
-                              _MAX_WITNESS_ATTEMPTS primes
-
-The producer runs no Euclid of degree n, no exact arithmetic and never
-computes L: the interval route is chosen from the shape of n, the divisor
-route asks by one small resultant whether P_n is a unit mod p
-(trunclog.p_n_unit_at_divisor), and witnesses are primes ell = 1 (mod n),
-where a DFT over the n-th roots of unity gives disc F_n mod ell straight
-from the coefficients of F_n.  verify_failure checks the four valuation
-kinds, among them odd_prime_power_valuation (n = p^e) and split_theorem
-(n = m*q) that older files hold, by one rule (prime r, odd frame
-valuation, P_n / U^(k-1) = Res(psi_k, G) mod r nonzero, trunclog's
-psi_g_resultant, sharing no code with p_n_unit_at_divisor), never
-consults E_m, and takes a witness at any prime n < ell < 2^31 from the
-same psi_g_resultant, where G = F_n (disc_mod): by its own DFT at
-ell = 1 (mod n), by Euclid at older files' ell, and older files' exact
-kinds by the exact kernel.
+classify(n) returns a small, independently checkable Certificate, and
+verify_certificate replays its claim from scratch.  n = 1 is trivial,
+n = 2, 3 (mod 4) has a negative discriminant, and every other n gets the
+local square class at one odd prime ell (see trunclog): disc F_n is not
+a square if f = v_ell(n) - (n-1) floor(log_ell n) is odd or
+(sign * n' * R | ell) = -1, for R = Res(psi_k, G) != 0 mod ell.
+witness_search finds ell within _MAX_WITNESS_ATTEMPTS primes, with R from
+trunclog.psi_g_resultant_by_powers; verify_failure checks it with
+psi_g_resultant, after bounding ell: an odd prime below 2^64, where
+is_prime is a proof, and above n only for n <= _EXACT_MAX_N.  The four
+valuation kinds of older files check their shape and then the same rule
+with f odd required; their non_residue_witness records take disc_mod,
+and their exact kinds the exact kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
 
-from .arith import factorize, is_prime, is_rational_square, legendre_symbol, next_prime
+from .arith import int_valuation, is_prime, is_rational_square, legendre_symbol, next_prime
 from .poly import _NP_MAX_MOD
-from .trunclog import disc_exact, disc_mod, disc_mod_dft, frame_valuation, p_n_unit_at_divisor, psi_g_resultant
+from .trunclog import disc_exact, disc_mod, disc_sign, frame_valuation, psi_g_resultant, psi_g_resultant_by_powers
 
-# nothing here calls in_exceptional_set or p_n_mod; the names stay bound
-# because perfbench traces certify.in_exceptional_set and certify.p_n_mod
+# nothing here calls factorize, in_exceptional_set or p_n_mod; the names
+# stay bound because perfbench traces them in certify
+from .arith import factorize  # noqa: F401
 from .trunclog import in_exceptional_set, p_n_mod  # noqa: F401
 
 # fields that must be present (not None) for each kind; all others None
 _REQUIRED_FIELDS = {
     "trivial_n1": (),
     "negative_sign": (),
+    "local_square_class": ("ell",),
+    "unresolved": (),
     "odd_valuation": ("ell",),
     "odd_prime_power_valuation": ("p", "e"),
     "split_theorem": ("m", "q"),
@@ -53,19 +42,21 @@ _REQUIRED_FIELDS = {
     "non_residue_witness": ("ell", "residue"),
     "exact_non_square": (),
     "counterexample": (),
-    "unresolved": (),
 }
-# every kind: those classify emits, in the order it tries them, and
-# the theorem and exact kinds, which only older files hold
+# every kind: the four classify emits, then those only older files hold
 CERT_KINDS = tuple(_REQUIRED_FIELDS)
 _OPTIONAL_FIELDS = {"unresolved": ("witness_attempts",)}
 # every integer field a certificate may carry, in the order sweep files
 # write them
 CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
-_EXACT_MAX_N = 1000  # largest n whose exact claims verify_failure recomputes
-# primes the witness search tries before classify answers unresolved; the 211
-# witness-route n = 1 (mod 4) in 5..10^5 need at most 7 (441, 15125), n = 4 needs 5
+# largest n whose checks verify_failure runs at degree n: the exact kinds,
+# and a local square class at a prime ell > n, where G = F_n
+_EXACT_MAX_N = 1000
+# primes witness_search tries before classify answers unresolved; no n in
+# 2..10^5 needs more than 18 (n = 70,769)
 _MAX_WITNESS_ATTEMPTS = 200
+# is_prime is a deterministic Miller-Rabin, and so a proof, below this
+_PROVEN_PRIME_TOP = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -80,66 +71,49 @@ class Certificate:
     witness_attempts: int | None = None
 
 
-def bertrand_prime(n: int) -> int:
-    """Smallest prime in the open interval (n/2, n-2), for n = 0 (mod 4), n >= 8.
+def _unit_symbol(n: int, ell: int, r: int) -> int:
+    """(sign * n' * r | ell) for n' = n / ell^v_ell(n): the Legendre symbol of
+    the unit part of disc F_n at an odd prime ell, given R = r != 0 mod ell."""
+    return legendre_symbol(disc_sign(n) * (n // ell ** int_valuation(n, ell)) * r, ell)
 
-    Existence is a Bertrand-type fact for this range; running off the
-    end would falsify it, so that raises rather than returning junk.
+
+def witness_search(n: int, max_attempts: int) -> int | None:
+    """First prime ell at which the local square class shows that disc F_n
+    is not a square, for n = 0, 1 (mod 4), n >= 4.
+
+    The primes run upward from n/2, where m = 1, R = (-1)^(k-1) and an
+    n = 1 (mod 4) needs (n | ell) = -1, which an odd square never has, so
+    it starts from n/3, where m = 2.  Each prime is one attempt; one with
+    G(1) = 0 or R = 0 says nothing.  None after max_attempts primes;
+    ArithmeticError once the scan reaches 2^64, or passes n at
+    n > _EXACT_MAX_N, where the verifier would refuse the record.
     """
-    if n < 8 or n % 4:
-        raise ValueError(f"bertrand_prime requires n = 0 (mod 4), n >= 8, got {n}")
-    ell = next_prime(n // 2)
-    if ell >= n - 2:
-        raise ArithmeticError(f"no prime in ({n // 2}, {n - 2})")
-    return ell
-
-
-def witness_search(n: int, max_attempts: int) -> tuple[int, int] | None:
-    """First (ell, disc F_n mod ell) with the residue a quadratic
-    non-residue, over the primes ell = 1 (mod n) above n, upward.
-
-    Each prime is one attempt and one disc_mod_dft call; a zero residue
-    says nothing.  None after max_attempts primes; ArithmeticError once
-    the scan reaches 2^31, where the int64 DFT stops.
-    """
-    primes = (ell for ell in range(n + 1, _NP_MAX_MOD, n) if is_prime(ell))
-    tried = 0
-    for tried, ell in enumerate(islice(primes, max_attempts), 1):
-        r = disc_mod_dft(n, ell)
-        if r and legendre_symbol(r, ell) == -1:
-            return ell, r
-    if tried < max_attempts:
-        raise ArithmeticError(f"witness search for n = {n} reached 2^31")
+    top = _PROVEN_PRIME_TOP if n <= _EXACT_MAX_N else min(n + 1, _PROVEN_PRIME_TOP)
+    ell = max(2, n // 3 if n & 1 and math.isqrt(n) ** 2 == n else n // 2)  # odd primes only
+    for _ in range(max_attempts):
+        # no primality test from top up, where its cost grows with n
+        ell = next_prime(ell) if ell < top else top
+        if ell >= top:
+            where = "reached 2^64" if ell >= _PROVEN_PRIME_TOP else f"passed n > {_EXACT_MAX_N}"
+            raise ArithmeticError(f"witness search for n = {n} {where}")
+        r = psi_g_resultant_by_powers(n, ell)
+        if r and (frame_valuation(n, ell) & 1 or _unit_symbol(n, ell, r) == -1):
+            return ell
     return None
 
 
 def classify(n: int) -> Certificate:
-    """Certificate that disc F_n is not a square of a rational.
-
-    The interval route is chosen from the shape of n alone: its
-    congruence keeps P_n a unit at ell, and verify_failure rechecks it.
-    The divisor route evaluates P_n mod p before it claims a unit.
-    """
+    """Certificate that disc F_n is not a square of a rational."""
     if n < 1:
         raise ValueError(f"classify requires n >= 1, got {n}")
     if n == 1:
         return Certificate("trivial_n1")
     if n % 4 in (2, 3):
         return Certificate("negative_sign")
-
-    if n % 4 == 0 and n > 4:
-        return Certificate("odd_valuation", ell=bertrand_prime(n))
-
-    # n = 1 (mod 4), or n = 4: its interval (2, 2) is empty, and 4 = 2^2 has no odd exponent
-    fac = factorize(n)
-    for p in sorted((p for p, e in fac.items() if e & 1), reverse=True):
-        if p_n_unit_at_divisor(n, p):
-            return Certificate("divisor_valuation", p=p, e=fac[p])
-
-    found = witness_search(n, _MAX_WITNESS_ATTEMPTS)
-    if found is not None:
-        return Certificate("non_residue_witness", ell=found[0], residue=found[1])
-    return Certificate("unresolved", witness_attempts=_MAX_WITNESS_ATTEMPTS)
+    ell = witness_search(n, _MAX_WITNESS_ATTEMPTS)
+    if ell is None:
+        return Certificate("unresolved", witness_attempts=_MAX_WITNESS_ATTEMPTS)
+    return Certificate("local_square_class", ell=ell)
 
 
 def verify_failure(n: int, cert: Certificate) -> str | None:
@@ -175,8 +149,8 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         ell, res = cert.ell, cert.residue
         if n < 2:
             return "witness route needs n >= 2"
-        # witness_search's bound, kept to match its range: disc_mod would
-        # hold above it (Euclid on lists), and is_prime is a proof to 2^64
+        # the bound of the witness search that wrote these records: disc_mod
+        # would hold above it (Euclid on lists), and is_prime is a proof to 2^64
         if ell >= _NP_MAX_MOD:
             return f"witness modulus has {ell.bit_length()} bits; it must lie below 2^31"
         if ell <= n or not is_prime(ell):
@@ -198,8 +172,15 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
     if kind == "unresolved":
         return "unresolved records certify nothing"
 
-    # the valuation kinds name a prime r; each checks its own shape first
-    if kind == "odd_valuation":
+    # the local kinds name a prime r; each checks its own shape first, by
+    # comparisons alone, so a tampered r costs no arithmetic
+    if kind == "local_square_class":
+        r = cert.ell
+        if not (2 < r < _PROVEN_PRIME_TOP and r & 1):
+            return f"{r} is not an odd number in (2, 2^64)"
+        if r > n > _EXACT_MAX_N:
+            return f"a prime above n is checked only up to n = {_EXACT_MAX_N}"
+    elif kind == "odd_valuation":
         r = cert.ell
         if n % 4 or not (n // 2 < r < n - 2):
             return f"{r} is outside the interval ({n // 2}, {n - 2}) for n = 0 (mod 4)"
@@ -226,14 +207,19 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
         if r <= m:
             # r prime > m also forces gcd(r, m) = 1
             return f"split route needs {r} > {m}"
-    # v_r(disc F_n) = frame_valuation(n, r) + v_r(P_n) is odd when the
-    # first term is odd and P_n is a unit mod r
+    # v_r(disc F_n) = f = frame_valuation(n, r) when P_n is a unit mod r;
+    # the older kinds claim f odd, a local square class f odd or a
+    # non-residue unit part
     if not is_prime(r):
         return f"{r} is not prime"
-    if frame_valuation(n, r) % 2 == 0:
+    f = frame_valuation(n, r)
+    if f % 2 == 0 and kind != "local_square_class":
         return f"frame valuation at {r} is even"
-    if psi_g_resultant(n, r) == 0:
+    res = psi_g_resultant(n, r)
+    if res == 0:
         return f"P_{n} vanishes mod {r}"
+    if f % 2 == 0 and _unit_symbol(n, r, res) == 1:
+        return f"disc F_{n} is a square at {r}: its valuation {f} is even and its unit part a residue"
     return None
 
 

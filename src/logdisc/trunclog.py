@@ -22,8 +22,12 @@ s = ell^E <= n < ell * s and the unit U = L / s, A_n / U = G(x^s) for
 G(y) = s + y + ... + y^m/m, m = n // s, and P_n / U^(k-1) = Res(psi_k, G)
 (psi_g_resultant): at ell <= n, s = 0 mod ell and no row has length n;
 at ell > n, s = 1 and G = F_n.  L enters only P_n's own value, in p_n_mod,
-and cancels in disc_mod.  The witness search takes disc F_n mod ell from
-F_n itself, as sign * n * Res(F_n', F_n) (disc_mod_dft).
+and cancels in disc_mod.  At an odd ell with R = Res(psi_k, G) != 0,
+disc F_n has the valuation v_ell(n) - (n-1) E (frame_valuation) and the
+unit part sign * n' * R times the square U^(k-n), n' = n / ell^v_ell(n):
+its local square class, which certify's records name.  The producer takes
+R by another road, x^k mod G (psi_g_resultant_by_powers), so the
+verifier's psi_g_resultant checks it independently.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .arith import DEFAULT_RHO_BUDGET, PrimeValuation, factorize, floor_log, harmonic, int_valuation
 from .arith import is_prime, lcm_upto, primes_upto
-from .poly import _NP_MAX_MOD, _all_ones_residues, _polymod_list, resultant_exact, resultant_mod_p
+from .poly import _NP_MAX_MOD, _polymod_list, resultant_exact, resultant_mod_p
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,10 @@ def psi_g_resultant(n: int, ell: int) -> int:
         return 1
     if s == 1 and ell % n == 1 and ell < _NP_MAX_MOD:  # x^n = 1: c_0 = 1 + 1/n
         return _split_product(np.array([(1 + G[n]) % ell] + G[1:n], dtype=np.int64), ell)
-    if k - 1 <= m:  # every n = p * q divisor record (k = m) and every ell > n (k = n)
+    if k - 1 <= m:  # every older n = p * q divisor record (k = m) and every ell > n (k = n)
         return resultant_mod_p([1] * k, G, ell)
-    # Res(psi_k, y) = (-1)^(k-1) = Res(psi_k, G) at m = 1, every interval
-    # prime; Res(psi_k, G / y) = m^(1-k) (-1)^((k-1)(m-1)) Res(H, psi_k mod H)
+    # Res(psi_k, y) = (-1)^(k-1) = Res(psi_k, G) at m = 1, every prime in
+    # (n/2, n); Res(psi_k, G / y) = m^(1-k) (-1)^((k-1)(m-1)) Res(H, psi_k mod H)
     if m == 1:
         return (-1) ** (k - 1) % ell
     d, H = m - 1, [m * c % ell for c in G[1:]]
@@ -150,37 +154,36 @@ def p_n_mod(n: int, ell: int) -> int:
     return pow(_lcm_mod(n, ell), n - 1, ell) * psi_g_resultant(n, ell) % ell
 
 
-def p_n_unit_at_divisor(n: int, p: int) -> bool:
-    """Whether P_n != 0 mod a prime p | n, by a resultant of degree <= (n - 2) // s.
+def psi_g_resultant_by_powers(n: int, ell: int) -> int | None:
+    """Res(psi_k, G) mod a prime ell, the value of psi_g_resultant, by the
+    producer's own road, or None where G(1) = 0 and this road has none.
 
-    Mod p, with s = p^floor(log_p n) and L = s * U, A_n = U * B(x^s) for
-    B(y) = (1/(n/s) if s | n else 0) + sum_(1 <= j <= (n-2)/s) y^j / j.
-    x^n - 1 = (x^n' - 1)^(p^v) with n' = n / p^v, v = v_p(n), and y -> y^s
-    permutes the n'-th roots of unity: P_n = U^(n'-1) * Res(psi_n', B) if
-    B(1) != 0, else 0, and the unit U is never computed.  At p^(v+1) > n,
-    psi_n' is no longer than B; else, with B(1) != 0, Res(psi_n', B) = 0
-    exactly when Res(B / lc B, (x^n' mod B) - 1) = 0, x^n' by squaring.
+    With s, m, k and G as in psi_g_resultant, G = y at m = 1 and the value
+    is (-1)^(k-1).  Otherwise Res(x^k - 1, G) = Res(psi_k, G) * G(1), and
+    for the monic B = G / lc G, Res(x^k - 1, G) = (-1)^(km) lc(G)^k
+    Res(B, (x^k mod B) - 1), x^k by square and multiply on lists, so no
+    row is longer than G.
     """
-    if n < 2 or n % p:
-        raise ValueError(f"p_n_unit_at_divisor requires a prime divisor of n >= 2, got {p} for n = {n}")
-    n1 = n // p ** int_valuation(n, p)
-    if n1 == 1:
-        return True  # n = s, and B = [1]
-    s = p ** floor_log(p, n)
-    B = [pow(n // s, -1, p) if n % s == 0 else 0] + [pow(j, -1, p) for j in range(1, (n - 2) // s + 1)]
-    if sum(B) % p == 0:
-        return False
-    if n1 <= len(B):
-        return resultant_mod_p([1] * n1, B, p) != 0
-    inv = pow(B[-1], -1, p)
-    B, r = [c * inv % p for c in B], [1]
-    for bit in bin(n1)[2:]:  # r = x^j mod B; x^2j, then x^(2j+1) = x * x^2j
+    s = ell ** floor_log(ell, n)
+    m = n // s
+    k = n // ell ** int_valuation(n, ell)
+    if m == 1:
+        return (-1) ** (k - 1) % ell
+    G = [s % ell] + [pow(j, -1, ell) for j in range(1, m + 1)]
+    g1 = sum(G) % ell
+    if g1 == 0:
+        return None
+    lc = G[-1]
+    inv = pow(lc, -1, ell)
+    B, r = [c * inv % ell for c in G], [1]
+    for bit in bin(k)[2:]:  # r = x^j mod B; x^2j, then x^(2j+1) = x * x^2j
         sq = [0] * (2 * len(r) - 1 + (bit == "1"))
         for i, u in enumerate(r, bit == "1"):
             for j, v in enumerate(r, i):
                 sq[j] += u * v
-        r = _polymod_list([c % p for c in sq], B, p)
-    return resultant_mod_p(B, [(r[0] if r else 0) - 1] + r[1:], p) != 0
+        r = _polymod_list([c % ell for c in sq], B, ell)
+    res = resultant_mod_p(B, [(r[0] if r else 0) - 1] + r[1:], ell)
+    return (-1) ** (k * m) * pow(lc, k, ell) * res * pow(g1, -1, ell) % ell
 
 
 def frame_valuation(n: int, p: int) -> int:
@@ -226,7 +229,7 @@ def _split_product(c: np.ndarray, ell: int) -> int:
     """prod_(k=1..n-1) c(zeta^k) mod a prime ell = 1 (mod n) below 2^31, for
     an int64 row c of length n, zeta = g^((ell-1)/n) and the least g with
     zeta^(n/q) != 1 at each prime q | n.  Its mixed-radix DFT, sharing no
-    code with disc_mod_dft's, splits rows by the least prime q | n into q
+    code with poly's, splits rows by the least prime q | n into q
     strided rows, recurses at zeta^q and joins them by Horner in zeta^k:
     n * (sum of the prime factors of n) products of two residues < 2^31.
     """
@@ -256,29 +259,6 @@ def _split_product(c: np.ndarray, ell: int) -> int:
         h = len(v) // 2
         v = np.concatenate([v[:h] * v[h : 2 * h] % ell, v[2 * h :]])
     return int(v[0])
-
-
-def disc_mod_dft(n: int, ell: int) -> int:
-    """disc F_n mod a prime ell = 1 (mod n), n < ell < 2^31.
-
-    disc F_n = sign * n * Res(F_n', F_n), and F_n' = 1 + x + ... + x^(n-1)
-    is monic with the nontrivial n-th roots of unity zeta^k as roots.
-    There x^n/n = 1/n, so F_n agrees with
-    c = (1 + 1/n) + x + x^2/2 + ... + x^(n-1)/(n-1), and
-    disc F_n = sign * n * prod_(k=1..n-1) c(zeta^k) (mod ell): c mod ell
-    is a row of inverses, and no L, A_n or big integer enters.  The row
-    is the recurrence 1/j = -(ell // j) * 1/(ell mod j), from
-    ell = (ell // j) * j + ell mod j with 0 < ell mod j < j.
-    """
-    if ell % n != 1 or not n < ell < _NP_MAX_MOD or not is_prime(ell):
-        raise ValueError(f"modulus must be a prime = 1 (mod {n}) in ({n}, 2^31), got {ell}")
-    inv = [0, 1]
-    for j in range(2, n + 1):
-        inv.append((ell - ell // j) * inv[ell % j] % ell)
-    C = np.array(inv, dtype=np.int64)
-    C[0] = (1 + C[n]) % ell
-    (r,) = _all_ones_residues(n, C[None, :n], np.array([ell], dtype=np.int64))
-    return disc_sign(n) * n * r % ell
 
 
 @lru_cache(maxsize=None)

@@ -7,17 +7,19 @@ three theorem routes.
 
 theorem_route picks those routes from the shape of n; the tests check
 each formula against Euclid (dense_p_n_mod) and that it is nonzero on
-every n of its route.
+every n of its route.  older_certificate rebuilds the records that the
+release before the local square class wrote, so the tests can check that
+such files still verify.
 """
 
 import math
 from fractions import Fraction
 from itertools import chain
 
-from logdisc.arith import factorize, harmonic, int_valuation, is_prime, lcm_upto
-from logdisc.certify import bertrand_prime
+from logdisc.arith import factorize, harmonic, int_valuation, is_prime, lcm_upto, next_prime
+from logdisc.certify import Certificate
 from logdisc.poly import resultant_mod_p
-from logdisc.trunclog import _lcm_mod, disc_sign, f_tilde, in_exceptional_set, x_of
+from logdisc.trunclog import _lcm_mod, disc_sign, f_tilde, in_exceptional_set, psi_g_resultant, x_of
 
 
 def normalize(coeffs: list[int]) -> list[int]:
@@ -215,7 +217,7 @@ def theorem_route(n: int) -> tuple[str, int, int] | None:
         E_m, at q.
     """
     if n % 4 == 0 and n > 4:
-        ell = bertrand_prime(n)
+        ell = next_prime(n // 2)
         return "odd_valuation", ell, predicted_interval_residue(n, ell)
     if n % 4 != 1 or n == 1:
         return None
@@ -228,3 +230,36 @@ def theorem_route(n: int) -> tuple[str, int, int] | None:
     if q > m and not in_exceptional_set(m, q):
         return "split_theorem", q, predicted_split_residue(m, q)
     return None
+
+
+# (ell, residue) of every non_residue_witness record that the release
+# before the local square class wrote in 2..1209: its search took the
+# first prime ell = 1 (mod n) at which disc F_n was a non-residue
+OLDER_WITNESSES = {
+    4: (37, 29), 9: (73, 21), 25: (101, 75), 49: (197, 80), 81: (811, 550), 121: (727, 505),
+    169: (677, 3), 225: (2251, 775), 289: (3469, 1655), 333: (3331, 3148), 361: (21661, 143),
+    441: (15877, 12709), 505: (5051, 1018), 529: (12697, 3634), 585: (3511, 308),
+    605: (10891, 8172), 625: (22501, 21413), 729: (17497, 1142), 841: (10093, 2750),
+    961: (15377, 11928), 1089: (4357, 928),
+}
+
+
+def older_certificate(n: int) -> Certificate:
+    """The certificate the release before the local square class wrote for
+    1 <= n <= 1209: odd_valuation at the least prime in (n/2, n - 2) for
+    n = 0 (mod 4), n > 4; divisor_valuation at the largest p with p^e || n,
+    e odd and P_n != 0 mod p for n = 1 (mod 4); else its witness."""
+    if not 1 <= n <= 1209:
+        raise ValueError(f"older_certificate covers 1..1209, got {n}")
+    if n == 1:
+        return Certificate("trivial_n1")
+    if n % 4 in (2, 3):
+        return Certificate("negative_sign")
+    if n in OLDER_WITNESSES:
+        ell, residue = OLDER_WITNESSES[n]
+        return Certificate("non_residue_witness", ell=ell, residue=residue)
+    if n % 4 == 0:
+        return Certificate("odd_valuation", ell=next_prime(n // 2))
+    fac = factorize(n)
+    p = max(p for p, e in fac.items() if e & 1 and psi_g_resultant(n, p))
+    return Certificate("divisor_valuation", p=p, e=fac[p])

@@ -25,7 +25,7 @@ from logdisc.arith import (
     legendre_symbol,
     next_prime,
 )
-from logdisc.certify import Certificate, bertrand_prime, classify, verify_certificate
+from logdisc.certify import Certificate, classify, verify_certificate
 from logdisc.poly import resultant_exact
 from logdisc.sweep import SweepConfig, run_sweep, verify_file
 from logdisc.trunclog import (
@@ -197,15 +197,16 @@ def test_criterion_6_theorem_congruences():
 
     ok_interval = True
     for n in range(8, 101, 4):
-        ell = bertrand_prime(n)
+        ell = next_prime(n // 2)
         want = (-pow(lcm_upto(n) // ell, n - 1, ell)) % ell
         got = dense_p_n_mod(n, ell)
         ok_interval &= got == want and got != 0 and predicted_interval_residue(n, ell) == want
 
     # the closed forms on every theorem-route n of the range-sweep
     # benchmark's window, routed by the shape of n; each gives P_n a unit
-    # at its prime, so classify certifies n there: odd_valuation at ell,
-    # and for n = 1 (mod 4) divisor_valuation at the same prime
+    # at its prime, so the records older files hold there verify:
+    # odd_valuation at ell, which is classify's prime too, and for
+    # n = 1 (mod 4) divisor_valuation at the same prime
     routes = Counter()
     ok_routes = True
     for n in range(2, 1301):
@@ -215,9 +216,10 @@ def test_criterion_6_theorem_congruences():
         routes[kind] += 1
         ok_routes &= want != 0 and dense_p_n_mod(n, ell) == want
         if kind == "odd_valuation":
-            ok_routes &= classify(n) == Certificate("odd_valuation", ell=ell)
+            ok_routes &= classify(n) == Certificate("local_square_class", ell=ell)
+            ok_routes &= verify_certificate(n, Certificate("odd_valuation", ell=ell))
         else:
-            ok_routes &= classify(n) == Certificate("divisor_valuation", p=ell, e=int_valuation(n, ell))
+            ok_routes &= verify_certificate(n, Certificate("divisor_valuation", p=ell, e=int_valuation(n, ell)))
 
     ok = (
         report("prime power residues match for n in {9,...,169}", ok_pp)

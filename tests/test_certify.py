@@ -1,51 +1,47 @@
 import dataclasses
 import hashlib
 import json
+import math
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 import sympy
 
-from helpers import dense_disc_mod, rat_valuation
+from helpers import OLDER_WITNESSES, dense_disc_mod, older_certificate, rat_valuation
 from logdisc.arith import is_prime, is_rational_square
 from logdisc.certify import (
     Certificate,
-    bertrand_prime,
     classify,
     verify_certificate,
     verify_failure,
     witness_search,
 )
 from logdisc.sweep import SweepConfig, certificate_to_json, run_sweep, verify_file
-from logdisc.trunclog import disc_exact, disc_mod
+from logdisc.trunclog import disc_exact, disc_mod, psi_g_resultant, psi_g_resultant_by_powers
 
 
 def test_bertrand_prime_values():
-    assert bertrand_prime(8) == 5
-    assert bertrand_prime(12) == 7
-    assert bertrand_prime(16) == 11
-    assert bertrand_prime(100) == 53
-    for n in range(8, 400, 4):
-        ell = bertrand_prime(n)
-        assert is_prime(ell) and n // 2 < ell < n - 2
-
-
-def test_bertrand_prime_rejects():
-    with pytest.raises(ValueError):
-        bertrand_prime(10)
-    with pytest.raises(ValueError):
-        bertrand_prime(4)
+    # every n = 0 (mod 4) takes the least prime in (n/2, n), Bertrand's:
+    # there m = 1 and f = -(n - 1) is odd.  n = 4, whose interval
+    # (n/2, n - 2) of older files is empty, takes 3
+    assert [classify(n).ell for n in (4, 8, 12, 16, 100)] == [3, 5, 7, 11, 53]
+    for n in range(4, 400, 4):
+        ell = classify(n).ell
+        assert sympy.isprime(ell) and sympy.prevprime(ell) <= n // 2 < ell < n
 
 
 def test_witness_search_pinned():
-    # witnesses are taken at primes ell = 1 (mod n)
-    assert witness_search(333, 10) == (3331, 3148)
-    assert witness_search(33, 10) == (199, 39)
-    assert witness_search(505, 10) == (5051, 1018)
-    # two large witness n of the n = 1 (mod 4) sweep up to 10^4
-    assert witness_search(4005, 50) == (64081, 54201)
-    assert witness_search(9765, 50) == (507781, 316307)
+    # n = 1 (mod 4) from n/2 up, where (n | ell) = -1 certifies, and the odd
+    # squares from n/3 up; 9 and 25 alone go past n
+    assert witness_search(333, 10) == 167
+    assert witness_search(33, 10) == 19
+    assert witness_search(505, 10) == 269
+    assert witness_search(4005, 50) == 2003
+    assert witness_search(9765, 50) == 4909
+    assert witness_search(9, 10) == 17
+    assert witness_search(25, 10) == 37
 
 
 def test_nearest_prime_witnesses_still_verify():
@@ -54,57 +50,78 @@ def test_nearest_prime_witnesses_still_verify():
         assert verify_certificate(n, Certificate("non_residue_witness", ell=ell, residue=res))
 
 
-def test_witness_search_scans_in_order():
-    # replay the scan over the primes ell = 1 (mod n) by hand, with the
-    # dense Euclid, and confirm the first hit is returned
-    from logdisc.arith import legendre_symbol
+@lru_cache(maxsize=None)
+def _exact_disc(n):
+    return disc_exact(n).exact
 
-    for n in (9, 25, 33, 49, 121, 165):
-        found = witness_search(n, 50)
-        assert found is not None
-        ell, res = found
-        assert ell % n == 1
-        for probe in range(n + 1, ell, n):
-            if is_prime(probe):
-                r = dense_disc_mod(n, probe)
-                assert r == 0 or legendre_symbol(r, probe) == 1, (n, probe)
-        assert dense_disc_mod(n, ell) == res
-        assert legendre_symbol(res, ell) == -1
+
+def _exact_class_is_not_square(n, ell):
+    """Whether disc F_n is not a square in Q_ell, an odd prime, from the
+    exact value and sympy's legendre_symbol: an odd valuation, or a unit
+    part that is a non-residue mod ell."""
+    d = _exact_disc(n)
+    v = rat_valuation(d, ell)
+    unit = d / Fraction(ell) ** v
+    return v % 2 == 1 or sympy.legendre_symbol(unit.numerator * pow(unit.denominator, -1, ell) % ell, ell) == -1
+
+
+def _scan_start(n):
+    return n // 3 if n % 2 and math.isqrt(n) ** 2 == n else n // 2
+
+
+def test_witness_search_scans_in_order():
+    # replay the scan by hand: every prime it passes over has no producer
+    # value or shows disc F_n a square at ell by its exact value, and the
+    # prime it returns shows it is not
+    for n in (4, 5, 9, 13, 25, 33, 49, 69, 81, 105, 117):
+        ell = witness_search(n, 50)
+        for probe in sympy.primerange(_scan_start(n) + 1, ell):
+            assert not psi_g_resultant_by_powers(n, probe) or not _exact_class_is_not_square(n, probe), (n, probe)
+        assert _exact_class_is_not_square(n, ell), (n, ell)
 
 
 def test_witness_search_budget_exhaustion(monkeypatch):
     import logdisc.certify as certify
 
-    real, calls = certify.disc_mod_dft, []
+    real, calls = certify.psi_g_resultant_by_powers, []
 
     def recording(n, ell):
         calls.append(ell)
         return real(n, ell)
 
-    monkeypatch.setattr(certify, "disc_mod_dft", recording)
+    monkeypatch.setattr(certify, "psi_g_resultant_by_powers", recording)
     assert witness_search(9, 0) is None
     assert calls == []
-    # each prime is one attempt and one DFT, in ascending order: 9's
-    # first witness is its third prime = 1 (mod 9), 73
-    assert witness_search(9, 2) is None
-    assert calls == [19, 37]
+    # each prime is one attempt and one value, in ascending order from
+    # 9 // 3: 9's first certifying prime is its fifth, 17
+    assert witness_search(9, 4) is None
+    assert calls == [5, 7, 11, 13]
     calls.clear()
-    assert witness_search(9, 3) == (73, 21)
-    assert calls == [19, 37, 73]
+    assert witness_search(9, 5) == 17
+    assert calls == [5, 7, 11, 13, 17]
 
 
-def test_witness_search_stops_below_two_to_the_31(monkeypatch):
+def test_witness_search_stops_at_two_to_the_64(monkeypatch):
     import logdisc.certify as certify
 
-    # the DFT works in int64, so a modulus of 2^31 or more must never
-    # reach it; every candidate kn + 1 for n = 2^31 - 1 is at least 2^31
-    with pytest.raises(ArithmeticError, match="2\\^31"):
-        witness_search((1 << 31) - 1, 1)
-    # primes that run out before the budget is spent: below 60, 9 has
-    # only 19 and 37, neither a witness
-    monkeypatch.setattr(certify, "_NP_MAX_MOD", 60)
-    with pytest.raises(ArithmeticError, match="reached 2\\^31"):
-        witness_search(9, 5)
+    # is_prime is a proof below 2^64 only: n = 2^70 starts at 2^69, and
+    # the error names n before any prime is tested
+    t0 = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=f"n = {2**70} reached 2\\^64"):
+        witness_search(2**70, 200)
+    with pytest.raises(ArithmeticError, match="reached 2\\^64"):
+        classify(2**70)
+    assert time.perf_counter() - t0 < 0.1
+    # primes that run out before the budget is spent: below 30, 25 has
+    # 11, ..., 29, none certifying
+    monkeypatch.setattr(certify, "_PROVEN_PRIME_TOP", 30)
+    with pytest.raises(ArithmeticError, match="n = 25 reached 2\\^64"):
+        witness_search(25, 200)
+    # past n, the verifier's bound: 9 at a bound of 8 has only 5 and 7
+    monkeypatch.setattr(certify, "_PROVEN_PRIME_TOP", 1 << 64)
+    monkeypatch.setattr(certify, "_EXACT_MAX_N", 8)
+    with pytest.raises(ArithmeticError, match="n = 9 passed n > 8"):
+        witness_search(9, 200)
 
 
 def test_classify_routing():
@@ -112,33 +129,18 @@ def test_classify_routing():
     assert classify(2).kind == "negative_sign"
     assert classify(6).kind == "negative_sign"
     assert classify(11).kind == "negative_sign"
-    # the interval (2, 2) is empty and 4 = 2^2 has no odd exponent:
-    # witness route (725 = 5^2 * 29, so the residue is 0 at 5 and 29)
-    assert classify(4) == Certificate("non_residue_witness", ell=37, residue=29)
-    assert classify(8) == Certificate("odd_valuation", ell=5)
-    assert classify(12) == Certificate("odd_valuation", ell=7)
-    # n = 1 (mod 4) takes the divisor route wherever the prime power and
-    # split theorems hold: n = p^e with e odd, and n = m*q with prime q > m
-    # outside E_m, at p or q
-    assert classify(13) == Certificate("divisor_valuation", p=13, e=1)
-    assert classify(5) == Certificate("divisor_valuation", p=5, e=1)
-    assert classify(125) == Certificate("divisor_valuation", p=5, e=3)
-    assert classify(21) == Certificate("divisor_valuation", p=7, e=1)
-    assert classify(205) == Certificate("divisor_valuation", p=41, e=1)
-    assert classify(221) == Certificate("divisor_valuation", p=17, e=1)
-    # 33 = 3*11 but 11 is exceptional for m = 3, so P_33 = 0 (mod 11); the
-    # divisor route goes on to 3
-    assert classify(33) == Certificate("divisor_valuation", p=3, e=1)
-    # 505 = 5*101 with 101 exceptional for m = 5, and P_505 = 0 (mod 5)
-    # as well: witness route
-    assert classify(505) == Certificate("non_residue_witness", ell=5051, residue=1018)
-    # even prime power exponent gives no parity: witness route
-    assert classify(25).kind == "non_residue_witness"
-    assert classify(625).kind == "non_residue_witness"
-    # largest prime factor below its cofactor, outside the split theorem:
-    # the divisor route still takes the largest odd-exponent prime
-    assert classify(165) == Certificate("divisor_valuation", p=11, e=1)  # 165 = 3*5*11
-    assert classify(1197) == Certificate("divisor_valuation", p=19, e=1)  # 1197 = 3^2*7*19
+    # n = 0 (mod 4): the least prime above n/2, 3 at n = 4
+    for n, ell in ((4, 3), (8, 5), (12, 7)):
+        assert classify(n) == Certificate("local_square_class", ell=ell)
+    # n = 1 (mod 4), not a square: the least prime ell > n/2 with
+    # (n | ell) = -1, or ell = n for a prime n, where f = 2 - n is odd
+    for n, ell in ((5, 3), (13, 7), (21, 11), (33, 19), (125, 67), (165, 83), (205, 103),
+                   (221, 113), (505, 269), (1197, 599)):
+        assert classify(n) == Certificate("local_square_class", ell=ell)
+        assert ell == n or sympy.jacobi_symbol(n, ell) == -1
+    # odd squares: from n/3, where m = 2; 9 and 25 go on past n
+    for n, ell in ((9, 17), (25, 37), (49, 19), (625, 211)):
+        assert classify(n) == Certificate("local_square_class", ell=ell)
 
 
 def test_classify_rejects_bad_n():
@@ -171,19 +173,17 @@ def test_classify_unresolved_when_starved(monkeypatch):
 
 
 def test_classify_evaluates_no_theorem_residue(monkeypatch):
-    # the producer never computes L mod p: the interval and sign routes
-    # are chosen from the shape of n, and the divisor route asks only
-    # whether P_n is a unit, by a lemma without the unit L/s.  With L mod
-    # p unavailable, classify still gives every certificate of the
-    # range-sweep window and every divisor record of mod4eq1 up to 10^4
+    # the producer never computes L mod ell: the sign route is chosen from
+    # the shape of n, and the local square class needs only Res(psi_k, G),
+    # without the unit L/s.  With L mod ell unavailable, classify still
+    # gives every certificate of the range-sweep window and of mod4eq1 up
+    # to 10^4
     import logdisc.trunclog as trunclog_mod
 
     want = {n: classify(n) for n in range(2, 1210)}
     kinds = [cert.kind for cert in want.values()]
-    assert (kinds.count("negative_sign"), kinds.count("odd_valuation")) == (604, 301)
-    divisor = {n: cert for n in range(1213, 10001, 4) if (cert := classify(n)).kind == "divisor_valuation"}
-    assert kinds.count("divisor_valuation") + len(divisor) == 2439
-    want |= divisor
+    assert (kinds.count("negative_sign"), kinds.count("local_square_class")) == (604, 604)
+    want |= {n: classify(n) for n in range(1213, 10001, 4)}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("L mod p evaluated")
@@ -207,7 +207,7 @@ def test_classify_calls_no_verifier_core(monkeypatch):
         monkeypatch.setattr(module, name, forbidden)
     pairs = [[n, certificate_to_json(classify(n))] for n in range(2, 1210)]
     digest = hashlib.sha256(json.dumps(pairs, sort_keys=True).encode()).hexdigest()
-    assert digest == "82fe46d303c4cbe1378f9e240bf49ac25446e69a566ccc6dc85b6237cbb89a79"
+    assert digest == "42f8ce31b5cd1dd207351012b8f9b3d3e8fee85142b880f0e932b214af914eb3"
 
 
 def test_classify_reaches_no_exact_kernel(monkeypatch):
@@ -258,7 +258,7 @@ def test_certificates_never_contradict_exact_computation():
 def test_odd_valuation_claims_are_literal():
     for n in range(8, 61, 4):
         cert = classify(n)
-        assert cert.kind == "odd_valuation"
+        assert cert.kind == "local_square_class"
         v = rat_valuation(disc_exact(n).exact, cert.ell)
         assert v % 2 == 1, (n, cert.ell, v)
 
@@ -278,15 +278,12 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(33, Certificate("definitely_fine"))
 
 
-@lru_cache(maxsize=None)
-def _exact_disc(n):
-    return disc_exact(n).exact
-
-
 def _claim_holds(n, cert):
     """Whether cert's claim about n is true, by oracles the verifier does
     not use: disc F_n from the exact P_n, and sympy's isprime and
     legendre_symbol (a test-only dependency)."""
+    if cert.kind == "local_square_class":
+        return cert.ell % 2 == 1 and sympy.isprime(cert.ell) and _exact_class_is_not_square(n, cert.ell)
     if cert.kind == "non_residue_witness":
         ell, d = cert.ell, _exact_disc(n)
         return (ell > n and sympy.isprime(ell)
@@ -308,11 +305,11 @@ def _claim_holds(n, cert):
 
 
 def test_verify_accepts_no_tampered_certificate_with_a_false_claim():
-    # every certificate of sweep 2..300 with one field moved by a nonzero
-    # amount: a mutant the verifier accepts must be a true certificate
+    # every certificate of sweep 2..300, as classify writes it and as older
+    # files hold it, with one field moved by a nonzero amount: a mutant the
+    # verifier accepts must be a true certificate
     mutants = accepted = 0
-    for n in range(2, 301):
-        cert = classify(n)
+    for n, cert in [(n, make(n)) for n in range(2, 301) for make in (classify, older_certificate)]:
         for name in ("ell", "p", "e", "m", "q", "residue"):
             v = getattr(cert, name)
             if v is None:
@@ -328,7 +325,7 @@ def test_verify_accepts_no_tampered_certificate_with_a_false_claim():
 
 def test_verify_rejects_tampered_divisor_records():
     ok = Certificate("divisor_valuation", p=5, e=1)
-    assert classify(45) == ok and verify_failure(45, ok) is None
+    assert older_certificate(45) == ok and verify_failure(45, ok) is None
     assert verify_failure(45, Certificate("divisor_valuation", p=3, e=2)) == (
         "frame valuation at 3 is even")  # 3^2 || 45, but e is even
     assert verify_failure(45, Certificate("divisor_valuation", p=7, e=1)) == (
@@ -360,10 +357,10 @@ def test_verify_divisor_route_bounds_e_before_the_power():
 
 
 def test_witness_records_of_divisor_route_n_still_verify():
-    # the witnesses witness_search gave before the divisor route took
-    # these n, as older sweep files hold them
+    # the witnesses of the search before the divisor route took these n,
+    # as older sweep files hold them
     for n, ell, res in ((33, 199, 39), (45, 271, 173), (165, 1321, 518), (1197, 43093, 37167)):
-        assert classify(n).kind == "divisor_valuation"
+        assert older_certificate(n).kind == "divisor_valuation"
         assert verify_failure(n, Certificate("non_residue_witness", ell=ell, residue=res)) is None
 
 
@@ -514,27 +511,36 @@ def test_verify_rejects_tampered_witnesses_on_both_paths(n, ell, residue, reason
     assert verify_failure(n, Certificate("non_residue_witness", ell=ell, residue=residue)) == reason
 
 
+def test_older_certificates_are_the_previous_release_s():
+    # older_certificate rebuilds the previous release's sweep files: the
+    # digests its CI pinned for 2..400 and 2..1209
+    for top, want in ((400, "375ffe56f897fe46ef9dc92f1b7d52387ace15ec5b0815d520a632511d56b19f"),
+                      (1209, "82fe46d303c4cbe1378f9e240bf49ac25446e69a566ccc6dc85b6237cbb89a79")):
+        pairs = [[n, certificate_to_json(older_certificate(n))] for n in range(2, top + 1)]
+        assert hashlib.sha256(json.dumps(pairs, sort_keys=True).encode()).hexdigest() == want
+
+
 def test_verify_checks_witnesses_without_the_producer_dft(tmp_path, monkeypatch):
-    # the verifier's DFT at ell = 1 (mod n) is its own: a sweep with
-    # witness records verifies through the console command with every
-    # DFT kernel of the producer made to raise
+    # the verifier's DFT at ell = 1 (mod n) is its own: the witness
+    # records of an older 2..400 sweep verify through the console command
+    # with every DFT kernel of the exact route, and the producer's
+    # Res(psi_k, G), made to raise
     import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
     import logdisc.trunclog as trunclog_mod
     from logdisc.cli import cmd_dispatch
 
     path = tmp_path / "s.jsonl"
-    run_sweep(SweepConfig(2, 400, out=str(path)))
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    witnesses = [r for r in records if r["certificate"]["type"] == "non_residue_witness"]
+    witnesses = [{"n": n, "status": "certified", "certificate": certificate_to_json(older_certificate(n))}
+                 for n in OLDER_WITNESSES if n <= 400]
     assert len(witnesses) == 11 and all(int(r["certificate"]["ell"]) % r["n"] == 1 for r in witnesses)
+    path.write_text("".join(json.dumps(r) + "\n" for r in witnesses))
 
     def no_kernel(*args):
         raise AssertionError("producer DFT reached")
 
     for mod, name in ((poly_mod, "_dft"), (poly_mod, "_unity_dft"), (poly_mod, "_all_ones_residues"),
-                      (trunclog_mod, "_all_ones_residues"), (trunclog_mod, "disc_mod_dft"),
-                      (certify_mod, "disc_mod_dft")):
+                      (trunclog_mod, "psi_g_resultant_by_powers"), (certify_mod, "psi_g_resultant_by_powers")):
         monkeypatch.setattr(mod, name, no_kernel)
     assert cmd_dispatch(["verify", str(path)]) == 0
 
@@ -555,27 +561,30 @@ def _relabel_to_theorem_kinds(rec):
 
 
 def test_verify_runs_no_exact_kernel_but_on_the_exact_kinds(tmp_path, monkeypatch):
-    # the verifier shares no exact kernel and no divisor-lemma code with
-    # the producer: a whole sweep verifies with the exact kernel, the X(m)
-    # behind E_m and the producer's p_n_unit_at_divisor made to raise; the
-    # sweep is relabelled to the two theorem kinds that older files hold,
-    # so both still verify
+    # the verifier shares no exact kernel and no producer code: a sweep
+    # file verifies with the exact kernel, the X(m) behind E_m and the
+    # producer's Res(psi_k, G) made to raise.  The file is the older
+    # 2..1209 sweep, relabelled to the two theorem kinds that still older
+    # files hold, so every older kind verifies, and this release's own
+    # sweep of the same window verifies too
     import logdisc.certify as certify_mod
     import logdisc.poly as poly_mod
     import logdisc.trunclog as trunclog_mod
 
     full, relabelled = tmp_path / "full.jsonl", tmp_path / "relabelled.jsonl"
     run_sweep(SweepConfig(2, 1209, out=str(full)))
-    records = [json.loads(line) for line in full.read_text().splitlines()]
+    records = [{"n": n, "status": "certified", "certificate": certificate_to_json(older_certificate(n))}
+               for n in range(2, 1210)]
     relabelled.write_text("".join(json.dumps(_relabel_to_theorem_kinds(r)) + "\n" for r in records))
 
     def no_kernel(*args):
         raise AssertionError("producer code reached")
 
     for mod, name in ((trunclog_mod, "x_of"), (trunclog_mod, "resultant_exact"),
-                      (poly_mod, "_all_ones_residues"), (trunclog_mod, "p_n_unit_at_divisor"),
-                      (certify_mod, "p_n_unit_at_divisor"), (certify_mod, "disc_exact")):
+                      (poly_mod, "_all_ones_residues"), (trunclog_mod, "psi_g_resultant_by_powers"),
+                      (certify_mod, "psi_g_resultant_by_powers"), (certify_mod, "disc_exact")):
         monkeypatch.setattr(mod, name, no_kernel)
+    assert verify_file(full).ok
     report = verify_file(relabelled)
     assert report.total == 1208 and report.ok
     # the counts of the file the producer wrote before the divisor route
@@ -595,8 +604,13 @@ def test_classify_records_far_past_any_sweep_verify_with_no_length_n_row(monkeyp
     import logdisc.trunclog as trunclog_mod
 
     prime = next(c for c in range((1 << 34) + 1, 1 << 35, 4) if is_prime(c))
-    certs = {n: classify(n) for n in (1 << 34, 10**12, prime)}
-    assert [c.kind for c in certs.values()] == ["odd_valuation", "odd_valuation", "divisor_valuation"]
+    ns = (1 << 34, 10**12, prime, (10**6 + 1) ** 2, 10**18 + 1)
+    certs = [(n, classify(n)) for n in ns]
+    assert all(c.kind == "local_square_class" for _, c in certs)
+    # and the records an older release wrote at the first three
+    certs += [(1 << 34, Certificate("odd_valuation", ell=(1 << 33) + 17)),
+              (10**12, Certificate("odd_valuation", ell=500000000023)),
+              (prime, Certificate("divisor_valuation", p=prime, e=1))]
 
     def bounded(make):
         def guarded(shape, *args, **kwargs):
@@ -615,5 +629,83 @@ def test_classify_records_far_past_any_sweep_verify_with_no_length_n_row(monkeyp
     monkeypatch.setattr(trunclog_mod, "primes_upto", forbidden)
     monkeypatch.setattr(arith_mod, "primes_upto", bounded(arith_mod.primes_upto))
     t0 = time.perf_counter()
-    assert all(verify_failure(n, cert) is None for n, cert in certs.items())
+    assert all(verify_failure(n, cert) is None for n, cert in certs)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "n, ell, reason",
+    [
+        # f = -8 even and (9 | 7) = +1
+        (9, 7, "disc F_9 is a square at 7"),
+        # G(1) = 0 at 3 | 21, so P_21 = 0 (mod 3) while f = -39 is odd
+        (21, 3, "P_21 vanishes mod 3"),
+        (8, 2, "2 is not an odd number in (2, 2^64)"),
+        (13, 9, "9 is not prime"),
+        (10**6 + 1, 2**64 + 13, f"{2**64 + 13} is not an odd number in (2, 2^64)"),
+        (10**6 + 1, 2**127 - 1, f"{2**127 - 1} is not an odd number in (2, 2^64)"),
+        (10**6 + 1, 1000033, "a prime above n is checked only up to n = 1000"),
+    ],
+)
+def test_verify_rejects_tampered_local_records_fast(n, ell, reason):
+    # each tampered record is refused in under 10 ms: ell's size, parity
+    # and place against n are checked before any arithmetic, and no check
+    # costs a Euclid of degree n
+    t0 = time.perf_counter()
+    got = verify_failure(n, Certificate("local_square_class", ell=ell))
+    assert time.perf_counter() - t0 < 0.01
+    assert got is not None and got.startswith(reason), got
+
+
+def test_local_rule_matches_the_exact_square_class():
+    # at every odd prime ell < 2n + 50, for n < 120: where P_n is a unit
+    # mod ell, the verifier accepts local_square_class(ell) exactly when
+    # disc F_n is not a square in Q_ell; where it is not, it refuses
+    checked = 0
+    for n in range(2, 120):
+        for ell in sympy.primerange(3, 2 * n + 50):
+            got = verify_failure(n, Certificate("local_square_class", ell=ell))
+            if psi_g_resultant(n, ell) == 0:
+                assert got == f"P_{n} vanishes mod {ell}", (n, ell)
+            else:
+                assert (got is None) == _exact_class_is_not_square(n, ell), (n, ell, got)
+                checked += 1
+    assert checked > 4000
+
+
+def test_producer_resultant_matches_the_verifier_on_the_scan(monkeypatch):
+    # at every prime the scan visits for n in 2..3000, the producer's
+    # Res(psi_k, G) is psi_g_resultant's, where it has a value
+    import logdisc.certify as certify_mod
+
+    real, seen = psi_g_resultant_by_powers, []
+
+    def checked(n, ell):
+        r = real(n, ell)
+        assert r is None or r == psi_g_resultant(n, ell), (n, ell)
+        seen.append(r is None)
+        return r
+
+    monkeypatch.setattr(certify_mod, "psi_g_resultant_by_powers", checked)
+    for n in range(2, 3001):
+        assert witness_search(n, 200) is not None, n
+    assert len(seen) > 3000
+
+
+def test_closed_forms_predict_the_verdict():
+    # oracles outside the resultant code, for n = 1 (mod 4): at a prime
+    # ell in (n/2, n), m = 1 and the verdict is (n | ell) = -1; for an odd
+    # square at a prime ell > 3 in (n/3, n/2], m = 2 and it is
+    # ((2^n + 1)/3 | ell) = -1.  The producer takes the first such prime
+    for n in range(5, 3001, 4):
+        square = math.isqrt(n) ** 2 == n
+        lo, hi = (n // 3, n // 2) if square else (n // 2, n - 1)
+        a = (2**n + 1) // 3 if square else n
+        first = None
+        for ell in sympy.primerange(max(lo, 3) + 1, hi + 1):
+            want = sympy.legendre_symbol(a % ell, ell) == -1 if a % ell else False
+            assert (verify_failure(n, Certificate("local_square_class", ell=ell)) is None) == want, (n, ell)
+            if want and first is None:
+                first = ell
+        if first is not None:
+            assert classify(n) == Certificate("local_square_class", ell=first), n

@@ -8,8 +8,10 @@ import time
 
 import pytest
 
+from helpers import older_certificate
 from logdisc.arith import is_prime, next_prime
 from logdisc.cli import cmd_dispatch
+from logdisc.sweep import certificate_to_json
 
 
 def run(capsys, *argv):
@@ -67,11 +69,10 @@ def test_classify_json(capsys):
     rec = json.loads(out)
     assert rec["n"] == 33
     assert rec["status"] == "certified"
-    assert rec["certificate"] == {"type": "divisor_valuation", "p": "3", "e": "1"}
+    assert rec["certificate"] == {"type": "local_square_class", "ell": "19"}
     code, out, _ = run(capsys, "classify", "505")
     assert code == 0
-    assert json.loads(out)["certificate"] == {"type": "non_residue_witness", "ell": "5051",
-                                              "residue": "1018"}
+    assert json.loads(out)["certificate"] == {"type": "local_square_class", "ell": "269"}
 
 
 def test_pn_333_lifts_the_digit_limit_for_the_call_only(capsys):
@@ -84,11 +85,12 @@ def test_pn_333_lifts_the_digit_limit_for_the_call_only(capsys):
 
 
 def square_residues_only(monkeypatch):
-    # every disc F_n mod ell reads 1, a square: the witness search of an
-    # odd square n tries its whole budget and finds nothing
+    # every Legendre symbol reads 1, a square: the witness search of an odd
+    # square n, whose primes all give an even valuation, tries its whole
+    # budget and finds nothing
     import logdisc.certify as certify_mod
 
-    monkeypatch.setattr(certify_mod, "disc_mod_dft", lambda n, ell: 1)
+    monkeypatch.setattr(certify_mod, "legendre_symbol", lambda a, ell: 1)
 
 
 def test_classify_unresolved_exit_code(capsys, monkeypatch):
@@ -184,10 +186,11 @@ def test_verify_reports_a_non_utf8_line_as_malformed(tmp_path, capsys):
     assert run(capsys, "sweep", "--from", "2", "--to", "10", "--out", str(out_path))[0] == 0
     lines = out_path.read_bytes().splitlines(keepends=True)
     lines[3] = lines[3].replace(b'"tool_version": "', b'"tool_version": "\xff')
-    # a false claim after the bad line must still be caught: n = 9 is a witness
+    # a false claim after the bad line must still be caught: disc F_9 is a
+    # square at 7, with f = -8 and (9 | 7) = 1
     rec = json.loads(lines[7])
-    assert rec["n"] == 9 and rec["certificate"]["type"] == "non_residue_witness"
-    rec["certificate"]["residue"] = str(int(rec["certificate"]["residue"]) + 1)
+    assert rec["n"] == 9 and rec["certificate"] == {"type": "local_square_class", "ell": "17"}
+    rec["certificate"]["ell"] = "7"
     lines[7] = (json.dumps(rec) + "\n").encode()
     out_path.write_bytes(b"".join(lines))
     code, out, err = run(capsys, "verify", str(out_path))
@@ -208,8 +211,9 @@ def test_verify_and_resume_refuse_a_non_canonical_integer(tmp_path, capsys, spel
     assert run(capsys, "sweep", "--from", "2", "--to", "10", "--out", str(out_path))[0] == 0
     lines = out_path.read_text().splitlines(keepends=True)
     rec = json.loads(lines[7])
-    assert rec["n"] == 9 and rec["certificate"]["ell"] == "73"
-    rec["certificate"]["ell"] = spelling
+    assert rec["n"] == 9
+    # an older file's witness record at n = 9
+    rec["certificate"] = {"type": "non_residue_witness", "ell": spelling, "residue": "21"}
     lines[7] = json.dumps(rec) + "\n"
     out_path.write_text("".join(lines))
     code, out, _ = run(capsys, "verify", str(out_path))
@@ -279,18 +283,17 @@ def without_seconds(out):
 
 
 def test_verify_jobs_reports_as_one_job(tmp_path, capsys):
-    from logdisc.certify import Certificate, witness_search
-    from logdisc.sweep import certificate_to_json
+    from logdisc.certify import Certificate
 
     out_path = tmp_path / "s.jsonl"
     assert run(capsys, "sweep", "--from", "2", "--to", "30", "--out", str(out_path))[0] == 0
     lines = out_path.read_bytes().splitlines(keepends=True)
     recs = [json.loads(line) for line in lines]
-    assert [recs[i]["certificate"]["type"] for i in (2, 10)] == ["non_residue_witness", "odd_valuation"]
-    # a false witness claim at n = 4005 comes first: its check takes far
-    # longer than any other here, so a pool finishes later records first
-    ell, res = witness_search(4005, 50)
-    cert = certificate_to_json(Certificate("non_residue_witness", ell=ell, residue=res + 1))
+    assert [recs[i]["certificate"]["type"] for i in (2, 10)] == ["local_square_class", "local_square_class"]
+    # a false claim in an older file's witness record at n = 4005 comes
+    # first: its check takes far longer than any other here, so a pool
+    # finishes later records first
+    cert = certificate_to_json(Certificate("non_residue_witness", ell=64081, residue=54202))
     slow = {"n": 4005, "status": "certified", "certificate": cert}
     recs[2]["status"] = "counterexample"  # n = 4: a false claim
     recs[2]["certificate"] = {"type": "counterexample"}
@@ -309,7 +312,7 @@ def test_verify_jobs_reports_as_one_job(tmp_path, capsys):
     assert "line 5: malformed: 'utf-8' codec" in out and "line 13: malformed" in out
     assert "line 14: malformed: duplicate record for n=9" in out and "n=77: unresolved" in out
     assert "checked 33 records: 3 malformed, 3 invalid, 1 flagged" in out
-    assert "route non_residue_witness: 3 records, " in out and "route counterexample: 1 records" in out
+    assert "route non_residue_witness: 1 records, " in out and "route counterexample: 1 records" in out
     code2, out2, err2 = run(capsys, "verify", str(out_path), "--jobs", "2")
     assert (code2, without_seconds(out2), err2) == (3, without_seconds(out), "")
 
@@ -339,7 +342,7 @@ def test_verify_exit_codes_on_bad_files(tmp_path, capsys):
     run(capsys, "sweep", "--from", "2", "--to", "20", "--out", str(out_path))
     records = [json.loads(line) for line in out_path.read_text().splitlines()]
     for rec in records:
-        if rec["certificate"]["type"] == "odd_valuation":
+        if rec["certificate"]["type"] == "local_square_class":
             rec["certificate"]["ell"] = "9"
     out_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     code, out, _ = run(capsys, "verify", str(out_path))
@@ -366,9 +369,11 @@ def test_verify_tampered_witness_at_n1_exits_three(tmp_path, capsys):
 
 
 def test_verify_tampered_divisor_records_exit_three(tmp_path, capsys):
+    # the divisor records of an older 40..50 sweep
     out_path = tmp_path / "s.jsonl"
-    assert run(capsys, "sweep", "--from", "40", "--to", "50", "--out", str(out_path))[0] == 0
-    recs = [json.loads(line) for line in out_path.read_text().splitlines()]
+    recs = [{"n": n, "status": "certified", "certificate": certificate_to_json(older_certificate(n))}
+            for n in range(40, 51)]
+    out_path.write_text("".join(json.dumps(r) + "\n" for r in recs))
     assert recs[5]["n"] == 45 and recs[5]["certificate"] == {"type": "divisor_valuation",
                                                              "p": "5", "e": "1"}
     code, out, _ = run(capsys, "verify", str(out_path))
@@ -453,7 +458,7 @@ def test_verify_accepts_an_older_exact_record_at_n4(tmp_path, capsys):
     out_path = tmp_path / "s.jsonl"
     assert run(capsys, "sweep", "--from", "2", "--to", "30", "--out", str(out_path))[0] == 0
     lines = out_path.read_text().splitlines(keepends=True)
-    assert json.loads(lines[2])["certificate"] == {"type": "non_residue_witness", "ell": "37", "residue": "29"}
+    assert json.loads(lines[2])["certificate"] == {"type": "local_square_class", "ell": "3"}
     lines[2] = ('{"certificate": {"type": "exact_non_square"}, "ms": 4.993, "n": 4, '
                 '"status": "certified", "tool_version": "0.1.0"}\n')
     out_path.write_text("".join(lines))
@@ -484,3 +489,18 @@ def test_verify_witness_modulus_above_two_to_the_64_exits_three(tmp_path, capsys
     code, out, _ = run(capsys, "verify", str(tampered))
     assert code == 3 and "n=33: INVALID" in out and "below 2^31" in out
     assert time.perf_counter() - t0 < 5
+
+
+def test_classify_past_two_to_the_64_exits_two(tmp_path, capsys):
+    # is_prime proves no prime from 2^64 up, so n = 2^70, whose scan starts
+    # at 2^69, gets no certificate: classify exits 2 naming n, and a sweep
+    # writes it unresolved, with the error
+    n = 2**70
+    code, out, err = run(capsys, "classify", str(n))
+    assert (code, out, err) == (2, "", f"error: witness search for n = {n} reached 2^64\n")
+    out_path = tmp_path / "s.jsonl"
+    code, out, _ = run(capsys, "sweep", "--from", str(n), "--to", str(n), "--out", str(out_path))
+    assert code == 4 and "unresolved 1" in out
+    rec = json.loads(out_path.read_text())
+    assert rec["status"] == "unresolved"
+    assert rec["error"] == f"ArithmeticError: witness search for n = {n} reached 2^64"

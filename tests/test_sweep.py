@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 from collections import Counter
@@ -6,6 +5,7 @@ from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -115,7 +115,7 @@ def test_classify_record_shape():
     rec = classify_record(13)
     assert rec["n"] == 13
     assert rec["status"] == "certified"
-    assert rec["certificate"] == {"type": "divisor_valuation", "p": "13", "e": "1"}
+    assert rec["certificate"] == {"type": "local_square_class", "ell": "7"}
     assert rec["ms"] >= 0
     assert isinstance(rec["tool_version"], str)
 
@@ -200,24 +200,24 @@ def test_run_sweep_bounds_work_in_flight(tmp_path, monkeypatch):
 
 
 def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
-    # the range-sweep benchmark's window: every record verifies, and
-    # every certificate off the witness and divisor routes is byte for
-    # byte the one the euclidean producer wrote; the divisor route took
-    # 46 of the window's 66 witness n, and all 137 split and 97 prime
-    # power n of the theorem routes
+    # the range-sweep benchmark's window: every record verifies, every
+    # n = 2, 3 (mod 4) keeps its sign record, and every n = 0 (mod 4) keeps
+    # the interval theorem's prime, the least prime above n/2, now as a
+    # local square class
     out = tmp_path / "sweep.jsonl"
     summary = run_sweep(SweepConfig(2, 1201, out=str(out)))
     report = verify_file(out)
     assert summary.certified == 1200 and report.ok and report.total == 1200
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert Counter(r["certificate"]["type"] for r in records) == {
-        "negative_sign": 600, "odd_valuation": 299, "divisor_valuation": 280,
-        "non_residue_witness": 21,
+        "negative_sign": 600, "local_square_class": 600,
     }
-    kept = sorted((r["n"], json.dumps(r["certificate"], sort_keys=True)) for r in records
-                  if r["certificate"]["type"] not in ("non_residue_witness", "divisor_valuation"))
-    digest = hashlib.sha256("".join(f"{n} {c}\n" for n, c in kept).encode()).hexdigest()
-    assert digest == "751bdee3f2d4cc3b26e1ac51f4f20b7f3e0d46db406696e7d98844f647fced0c"
+    for r in records:
+        n = r["n"]
+        if n % 4 in (2, 3):
+            assert r["certificate"] == {"type": "negative_sign"}, n
+        elif n % 4 == 0:
+            assert r["certificate"] == {"type": "local_square_class", "ell": str(sympy.nextprime(n // 2))}, n
 
 
 def test_run_sweep_resume_after_truncation(tmp_path):
@@ -279,11 +279,11 @@ def test_verify_file_flags_and_invalids(tmp_path):
     out = tmp_path / "sweep.jsonl"
     run_sweep(SweepConfig(2, 40, out=str(out)))
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    # tamper with one witness residue
+    # tamper with one odd prime ell, which becomes even
     tampered = 0
     for rec in records:
-        if rec["certificate"]["type"] == "non_residue_witness" and not tampered:
-            rec["certificate"]["residue"] = str(int(rec["certificate"]["residue"]) + 1)
+        if rec["certificate"]["type"] == "local_square_class" and not tampered:
+            rec["certificate"]["ell"] = str(int(rec["certificate"]["ell"]) + 1)
             tampered = rec["n"]
     # append an unresolved record and a duplicate
     records.append({"n": 9999, "status": "unresolved",
@@ -299,8 +299,8 @@ def test_verify_file_flags_and_invalids(tmp_path):
     # every record but the unresolved one and the duplicate reached
     # verify_failure, and is counted under its kind
     assert sum(count for count, _ in report.routes.values()) == len(records) - 2
-    assert report.routes["non_residue_witness"][0] == sum(
-        r["certificate"]["type"] == "non_residue_witness" for r in records[:-1])
+    assert report.routes["local_square_class"][0] == sum(
+        r["certificate"]["type"] == "local_square_class" for r in records[:-1])
     assert all(seconds >= 0 for _, seconds in report.routes.values())
 
 

@@ -32,7 +32,6 @@ from logdisc.trunclog import (
     _lcm_mod,
     disc_exact,
     disc_mod,
-    disc_mod_dft,
     disc_sign,
     exceptional_set,
     f_tilde,
@@ -40,8 +39,8 @@ from logdisc.trunclog import (
     in_exceptional_set,
     p_n_exact,
     p_n_mod,
-    p_n_unit_at_divisor,
     psi_g_resultant,
+    psi_g_resultant_by_powers,
     x_of,
 )
 
@@ -244,7 +243,8 @@ def test_p_n_mod_at_divisor_matches_p_n_mod(n):
     for p in factorize(n):
         got = p_n_mod(n, p)
         assert got == dense_p_n_mod(n, p), (n, p)
-        assert p_n_unit_at_divisor(n, p) == (got != 0), (n, p)
+        # the producer's road: no value where G(1) = 0, where P_n = 0 at p | n
+        assert (psi_g_resultant_by_powers(n, p) or 0) == psi_g_resultant(n, p), (n, p)
         if exact is not None:
             assert got == exact % p, (n, p)
 
@@ -306,25 +306,29 @@ def test_verify_rejects_tampered_valuation_records():
 
 
 def test_p_n_mod_at_divisor_pinned():
-    assert p_n_unit_at_divisor(21, 3) is False  # B(1) = 0 with Res(psi_7, B) = 1
-    assert p_n_unit_at_divisor(333, 37) is False
-    assert p_n_unit_at_divisor(1197, 19) is True and p_n_mod(1197, 19) != 0
-    assert p_n_unit_at_divisor(125, 5) is True  # n' = 1
-    # n = 5 * 1000003^2: psi_n' would have n / 5 = 1000006000009 terms; x^n' mod B = y is 0
+    # the producer's Res(psi_k, G): none where G(1) = 0, at (21, 3), where
+    # P_21 = 0 (mod 3), and at 7, prime to 45, where the value is 6; the
+    # value 0 of P_333 mod 37; k = 1 (n = 125 = 5^3) and every m = 1 by
+    # the closed form (-1)^(k-1); and a prime to n, 17 at 45
+    assert psi_g_resultant_by_powers(21, 3) is None and psi_g_resultant(21, 3) == 0
+    assert psi_g_resultant_by_powers(45, 7) is None and psi_g_resultant(45, 7) == 6
+    assert psi_g_resultant_by_powers(333, 37) == 0
+    assert psi_g_resultant_by_powers(1197, 19) == psi_g_resultant(1197, 19) != 0
+    assert psi_g_resultant_by_powers(125, 5) == 1
+    assert psi_g_resultant_by_powers(45, 17) == psi_g_resultant(45, 17) == 6
+    # n = 5 * 1000003^2: psi_n' would have n / 5 = 1000006000009 terms; m = 1 at 5
     far = 5 * 1000003**2
-    assert p_n_unit_at_divisor(far, 5) is True
+    assert psi_g_resultant_by_powers(far, 5) == psi_g_resultant(far, 5) == 1
     assert verify_certificate(far, classify(far))
-    with pytest.raises(ValueError):
-        p_n_unit_at_divisor(45, 7)
 
 
 def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
-    # B has (n - 2) // p^floor(log_p n) + 1 terms: neither A_n mod p nor
-    # psi_n is built, no resultant takes a row longer than B (psi_n' only
-    # where it is no longer, else x^n' mod B), no L mod p enters, and the
+    # G has m + 1 terms: neither A_n mod ell nor psi_k is built, no
+    # resultant takes a row longer than G, no L mod ell enters, and the
     # verifier's core (psi_g_resultant and its DFT) is not called
     import logdisc.trunclog as trunclog
 
+    want = {(n, ell): psi_g_resultant(n, ell) for n, ell in ((9993, 3331), (1002001, 334021), (45, 5))}
     seen = []
     real = trunclog.resultant_mod_p
 
@@ -333,17 +337,18 @@ def test_p_n_mod_at_divisor_builds_no_length_n_row(monkeypatch):
         return real(f, g, p)
 
     def forbidden(*args):
-        raise AssertionError("the verifier's core or L mod p ran")
+        raise AssertionError("the verifier's core or L mod ell ran")
 
     monkeypatch.setattr(trunclog, "resultant_mod_p", recording)
     for name in ("psi_g_resultant", "_split_product", "_lcm_mod"):
         monkeypatch.setattr(trunclog, name, forbidden)
-    assert p_n_unit_at_divisor(9993, 3331) is True  # 9993 = 3 * 3331
-    assert seen == [(3, 3)]
-    for n, p in ((45, 5), (5 * 1000003**2, 5)):  # B = y: s = 25, then 5^18
+    # 9993 = 3 * 3331 (m = 3); 1002001 = 1001^2 at a prime in (n/3, n/2] (m = 2)
+    for (n, ell), r in want.items():
         seen.clear()
-        assert p_n_unit_at_divisor(n, p) is True
-        assert seen and all(max(lens) <= 2 for lens in seen), (n, seen)
+        assert psi_g_resultant_by_powers(n, ell) == r, (n, ell)
+        m = n // ell ** floor_log(ell, n)
+        assert all(max(lens) <= m + 1 for lens in seen), (n, ell, seen)
+        assert bool(seen) == (m > 1), (n, ell, seen)
 
 
 def test_disc_sign_rule():
@@ -496,8 +501,8 @@ def test_disc_mod_euclid_path_matches_dense_euclid(n, j, t):
         assert disc_mod(n, ell) == dense_disc_mod(n, ell), (n, ell)
 
 
-# n in every class mod 4, and prime n from 11 up, whose one radix takes
-# the matmul path of the DFT; ell from just above n to just below 2^31,
+# n in every class mod 4, and prime n from 11 up, one radix of the
+# DFT; ell from just above n to just below 2^31,
 # so the row of inverses 1/j mod ell meets every size of ell // j
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.integers(2, 3000), st.integers(0, (1 << 31) - 2))
@@ -511,18 +516,18 @@ def test_disc_mod_euclid_path_matches_dense_euclid(n, j, t):
 @example(3000, 2147469000)
 @example(2, 2147483646)
 def test_disc_mod_dft_matches_disc_mod(n, t):
-    # the first prime ell = 1 (mod n) above t and n; n = 22 takes 23,
-    # 2999 takes 23993.  The reference is the dense Euclid that disc_mod
-    # ran there before it took a DFT of its own
+    # disc_mod's DFT at the first prime ell = 1 (mod n) above t and n;
+    # n = 22 takes 23, 2999 takes 23993.  The reference is the dense Euclid
+    # that disc_mod ran there before it took a DFT of its own
     ell = t - t % n + 1
     while ell <= n or not is_prime(ell):
         ell += n
     assume(ell < 1 << 31)
-    assert disc_mod_dft(n, ell) == dense_disc_mod(n, ell)
+    assert disc_mod(n, ell) == dense_disc_mod(n, ell)
 
 
 def test_disc_is_sign_n_res_of_derivative_and_c():
-    # the identity disc_mod_dft evaluates, over Q: at the roots of
+    # the identity disc_mod's DFT evaluates, over Q: at the roots of
     # F_n' = 1 + ... + x^(n-1), F_n agrees with
     # c = (1 + 1/n) + x + x^2/2 + ... + x^(n-1)/(n-1), so
     # disc F_n = sign * n * Res(F_n', L c) / L^(n-1)
@@ -535,8 +540,8 @@ def test_disc_is_sign_n_res_of_derivative_and_c():
 
 def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
     # neither L * F_n, nor its limb table, nor L mod ell (so no A_n mod
-    # ell), nor the verifier's core: the witness rows are inverses mod ell
-    # alone, with no Fermat power
+    # ell), nor the exact kernel's DFT: disc_mod's rows at ell = 1 (mod n)
+    # are inverses mod ell alone, with no Fermat power
     import logdisc.poly as poly
     import logdisc.trunclog as trunclog
 
@@ -548,16 +553,9 @@ def test_disc_mod_dft_builds_no_big_integers(monkeypatch):
 
     assert not hasattr(trunclog, "_pow_mod")
     for module, name in ((trunclog, "f_tilde"), (trunclog, "_lcm_mod"), (poly, "_residue_table"),
-                         (poly, "_pow_mod"), (trunclog, "psi_g_resultant"), (trunclog, "_split_product")):
+                         (poly, "_pow_mod"), (poly, "_all_ones_residues"), (poly, "_unity_dft")):
         monkeypatch.setattr(module, name, forbidden)
-    assert [disc_mod_dft(333, ell) for ell in ells] == want
-
-
-def test_disc_mod_dft_rejects_moduli_outside_its_range():
-    # too small twice, composite, not 1 (mod 11), a prime = 1 (mod 11) above 2^31
-    for ell in (1, 7, 12, 13, 2147483713):
-        with pytest.raises(ValueError, match="= 1 \\(mod 11\\)"):
-            disc_mod_dft(11, ell)
+    assert [disc_mod(333, ell) for ell in ells] == want
 
 
 def test_disc_mod_rejects_small_or_composite():
