@@ -9,7 +9,8 @@ a square if f = v_ell(n) - (n-1) floor(log_ell n) is odd or
 witness_search finds ell within _MAX_WITNESS_ATTEMPTS primes, with R from
 trunclog.psi_g_resultant_by_powers; verify_failure checks it with
 psi_g_resultant, after bounding ell: an odd prime below 2^64, where
-is_prime is a proof, and above n only for n <= _EXACT_MAX_N.  The four
+is_prime is a proof, and above n = _EXACT_MAX_N only at G of degree
+m <= _LOCAL_MAX_M, so above n only for n <= _EXACT_MAX_N.  The four
 valuation kinds of older files check their shape and then the same rule
 with f odd required; their non_residue_witness records take disc_mod,
 and their exact kinds the exact kernel.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import int_valuation, is_prime, is_rational_square, legendre_symbol, next_prime
+from .arith import floor_log, int_valuation, is_prime, is_rational_square, legendre_symbol, next_prime
 from .poly import _NP_MAX_MOD
 from .trunclog import disc_exact, disc_mod, disc_sign, frame_valuation, psi_g_resultant, psi_g_resultant_by_powers
 
@@ -52,6 +53,9 @@ CERT_INT_FIELDS = ("ell", "p", "e", "m", "q", "residue", "witness_attempts")
 # largest n whose checks verify_failure runs at degree n: the exact kinds,
 # and a local square class at a prime ell > n, where G = F_n
 _EXACT_MAX_N = 1000
+# largest degree m of G whose local square class verify_failure checks
+# above n = _EXACT_MAX_N: the m of every ell > n/3, where classify looks
+_LOCAL_MAX_M = 2
 # primes witness_search tries before classify answers unresolved; no n in
 # 2..10^5 needs more than 18 (n = 70,769)
 _MAX_WITNESS_ATTEMPTS = 200
@@ -180,6 +184,9 @@ def verify_failure(n: int, cert: Certificate) -> str | None:
             return f"{r} is not an odd number in (2, 2^64)"
         if r > n > _EXACT_MAX_N:
             return f"a prime above n is checked only up to n = {_EXACT_MAX_N}"
+        # the check's cost grows as m^2 for G of degree m = n // r^E, r^E <= n
+        if n > _EXACT_MAX_N and (m := n // r ** floor_log(r, n)) > _LOCAL_MAX_M:
+            return f"G has degree {m} at {r}; above n = {_EXACT_MAX_N} only degree <= {_LOCAL_MAX_M} is checked"
     elif kind == "odd_valuation":
         r = cert.ell
         if n % 4 or not (n // 2 < r < n - 2):

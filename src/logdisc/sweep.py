@@ -1,7 +1,8 @@
 """Range sweeps over n with JSONL persistence, resume, and verification.
 
 One line per n, append-only, written by a single process even when
-classification fans out to worker processes.  Big integers inside
+classification fans out to worker processes, in target order, one
+write and flush per chunk of _CHUNK records.  Big integers inside
 certificates are serialized as decimal strings so records survive JSON
 implementations that mangle large numbers.
 """
@@ -13,9 +14,10 @@ import math
 import re
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 from pathlib import Path
 
 from . import __version__
@@ -104,6 +106,10 @@ def _decimal(s: str, what: str = "an integer") -> int:
 
 # a record's JSON integers, n among them, take the same check
 _RECORD_DECODER = json.JSONDecoder(parse_int=_decimal)
+# writes what json.dumps(rec, sort_keys=True) does, with no new encoder per record
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+# records per write of a sweep file, and per task of a worker process
+_CHUNK = 256
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -161,6 +167,18 @@ def classify_record(n: int) -> dict:
     if error is not None:
         rec["error"] = error
     return rec
+
+
+def _sweep_chunk(targets: list[int]) -> tuple[bytes, list[tuple[int, str]]]:
+    """The records of targets as one block of JSONL lines, and (n, status)
+    for each that is not certified; the task of a sweep's worker."""
+    lines, others = [], []
+    for n in targets:
+        rec = classify_record(n)
+        lines.append(_RECORD_ENCODER.encode(rec) + "\n")
+        if rec["status"] != "certified":
+            others.append((n, rec["status"]))
+    return "".join(lines).encode("utf-8"), others
 
 
 def _parse_record(line: str) -> tuple[dict, Certificate]:
@@ -229,37 +247,44 @@ def run_sweep(config: SweepConfig, log=None) -> SweepSummary:
             targets.append(n)
 
     mode = "ab" if config.resume and path.exists() else "wb"
+    unsettled = 0
     with open(path, mode) as fh:
-        def emit(rec: dict) -> None:
-            fh.write((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8"))
-            fh.flush()
-            _tally(summary, rec["status"])
-            if log is not None and rec["status"] != "certified":
-                print(f"n={rec['n']}: {rec['status']}", file=log)
-
         jobs = config.jobs if len(targets) > 1 else 1
-        for rec in _pool_map(classify_record, ((n,) for n in targets), jobs):
-            emit(rec)
+        # one write per chunk: a kill loses the chunks not yet written, which resume recomputes
+        for block, others in _pool_map(_sweep_chunk, _chunks(targets), jobs):
+            fh.write(block)
+            fh.flush()
+            unsettled += len(others)
+            for n, status in others:
+                _tally(summary, status)
+                if log is not None:
+                    print(f"n={n}: {status}", file=log)
+    summary.certified += len(targets) - unsettled
     summary.wall_s = time.perf_counter() - t0
     return summary
 
 
-def _pool_map(fn, arg_tuples, jobs: int):
-    """fn(*args) for each args of arg_tuples: in order here at jobs = 1,
-    else in jobs worker processes as they finish, with at most 2 * jobs
-    calls in flight, each one yielded admitting the next.  A dead worker
-    raises BrokenProcessPool."""
+def _chunks(items):
+    """Consecutive lists of _CHUNK items of an iterable, the last one shorter."""
+    it = iter(items)
+    while chunk := list(islice(it, _CHUNK)):
+        yield chunk
+
+
+def _pool_map(fn, tasks, jobs: int):
+    """fn(task) for each task, yielded in order: here at jobs = 1, else in
+    jobs worker processes with at most 2 * jobs tasks in flight, each one
+    yielded admitting the next.  A dead worker raises BrokenProcessPool."""
     if jobs == 1:
-        yield from starmap(fn, arg_tuples)
+        yield from map(fn, tasks)
         return
-    todo = iter(arg_tuples)
+    todo = iter(tasks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending = {pool.submit(fn, *args) for args in islice(todo, 2 * jobs)}
+        pending = deque(pool.submit(fn, task) for task in islice(todo, 2 * jobs))
         while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                yield fut.result()
-                pending.update(pool.submit(fn, *args) for args in islice(todo, 1))
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, task) for task in islice(todo, 1))
+            yield result
 
 
 def _tally(summary: SweepSummary, status: str) -> None:
@@ -271,14 +296,30 @@ def _tally(summary: SweepSummary, status: str) -> None:
         summary.unresolved += 1
 
 
-def _check_record(lineno: int, n: int, cert: Certificate) -> tuple[int, int, str, str | None, float]:
-    """verify_failure(n, cert) and its seconds; the worker task of verify_file."""
+def _check_line(lineno: int, line: bytes) -> tuple[int, int | None, str | None, str | None, float | None]:
+    """One line of a sweep file, parsed and checked from scratch, as
+    (line no, n, kind, verify_failure(n, cert), its seconds).  A malformed
+    line gives n None and the reason why; a check that raises gives
+    seconds None and the error.  An unresolved record is not checked."""
+    try:
+        # decoded per line, so a bad byte costs only its own line
+        rec, cert = _parse_record(line.decode("utf-8"))
+    except ValueError as exc:
+        return lineno, None, None, str(exc), None
+    n = rec["n"]
+    if cert.kind == "unresolved":
+        return lineno, n, cert.kind, None, 0.0
     t0 = time.perf_counter()
     try:
         reason = verify_failure(n, cert)
     except (ValueError, ArithmeticError, MemoryError) as exc:
-        raise ArithmeticError(f"verify: line {lineno}, n = {n}, {cert.kind}: {str(exc) or repr(exc)}") from exc
+        return lineno, n, cert.kind, f"verify: line {lineno}, n = {n}, {cert.kind}: {str(exc) or repr(exc)}", None
     return lineno, n, cert.kind, reason, time.perf_counter() - t0
+
+
+def _check_lines(lines: list[tuple[int, bytes]]) -> list[tuple]:
+    """_check_line of each (line no, line); the task of verify's worker."""
+    return list(starmap(_check_line, lines))
 
 
 def verify_file(path: str | Path, jobs: int = 1) -> VerifyReport:
@@ -287,43 +328,37 @@ def verify_file(path: str | Path, jobs: int = 1) -> VerifyReport:
     Malformed lines and certificates that fail verification are
     collected separately from honest non-certifying records
     (unresolved, counterexample), which are flagged but well formed.
-    At jobs > 1, verify_failure runs in that many worker processes, and
-    the report is the same but for the seconds in routes.
+    At jobs > 1, lines are parsed and checked in that many worker
+    processes, by chunks, and the report is the same but for the
+    seconds in routes.
     """
     report = VerifyReport()
-    invalid, flagged = [], []  # (line no, n, reason) and (line no, n, status)
     seen: set[int] = set()
-
-    def to_check(fh):  # the records verify_failure must check, as (line no, n, cert)
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        lines = ((lineno, line) for lineno, line in enumerate(fh, 1) if line.strip())
+        if jobs == 1:  # one line at a time: parsed, checked and let go
+            results = starmap(_check_line, lines)
+        else:
+            results = chain.from_iterable(_pool_map(_check_lines, _chunks(lines), jobs))
+        # results come in file order at any jobs, and so does the report
+        for lineno, n, kind, reason, seconds in results:
             report.total += 1
-            try:
-                # decoded per line, so a bad byte costs only its own line
-                rec, cert = _parse_record(line.decode("utf-8"))
-            except ValueError as exc:
-                report.malformed.append((lineno, str(exc)))
+            if n is None:
+                report.malformed.append((lineno, reason))
                 continue
-            n = rec["n"]
-            if n in seen:
+            if n in seen:  # its check, and any error it raised, do not count
                 report.malformed.append((lineno, f"duplicate record for n={n}"))
                 continue
             seen.add(n)
-            if cert.kind == "unresolved":
-                flagged.append((lineno, n, "unresolved"))
-            else:
-                yield lineno, n, cert
-
-    with open(path, "rb") as fh:
-        for lineno, n, kind, reason, seconds in _pool_map(_check_record, to_check(fh), jobs):
+            if seconds is None:
+                raise ArithmeticError(reason)
+            if kind == "unresolved":
+                report.flagged.append((n, kind))
+                continue
             count, total_s = report.routes.get(kind, (0, 0.0))
             report.routes[kind] = (count + 1, total_s + seconds)
             if reason is not None:
-                invalid.append((lineno, n, reason))
+                report.invalid.append((n, reason))
             elif kind == "counterexample":
-                flagged.append((lineno, n, kind))
-    # a pool finishes records out of file order; the report keeps file order
-    report.invalid = [(n, reason) for _, n, reason in sorted(invalid)]
-    report.flagged = [(n, status) for _, n, status in sorted(flagged)]
+                report.flagged.append((n, kind))
     return report

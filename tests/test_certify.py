@@ -645,6 +645,10 @@ def test_classify_records_far_past_any_sweep_verify_with_no_length_n_row(monkeyp
         (10**6 + 1, 2**64 + 13, f"{2**64 + 13} is not an odd number in (2, 2^64)"),
         (10**6 + 1, 2**127 - 1, f"{2**127 - 1} is not an odd number in (2, 2^64)"),
         (10**6 + 1, 1000033, "a prime above n is checked only up to n = 1000"),
+        # true claims past the producer's reach, whose checks would take
+        # a Euclid of degree m = n // ell: 0.75 s at m = 991, minutes at 9993
+        (10**6 + 1, 1009, "G has degree 991 at 1009; above n = 1000 only degree <= 2 is checked"),
+        (10**8 + 1, 10007, "G has degree 9993 at 10007"),
     ],
 )
 def test_verify_rejects_tampered_local_records_fast(n, ell, reason):

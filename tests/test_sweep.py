@@ -24,6 +24,14 @@ from logdisc.sweep import (
 )
 
 
+def without_ms(path):
+    """A sweep file's records, in file order, without their times."""
+    recs = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    for rec in recs:
+        del rec["ms"]
+    return recs
+
+
 def load_records(path):
     out = {}
     for line in Path(path).read_text().splitlines():
@@ -153,6 +161,8 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
 
 
 def test_run_sweep_bounds_work_in_flight(tmp_path, monkeypatch):
+    # each task is a chunk of consecutive records, and at most 2 * jobs
+    # tasks are in flight, over a range of more than 2 * jobs chunks
     import logdisc.sweep as sweep_mod
 
     class CountingPool:
@@ -160,6 +170,7 @@ def test_run_sweep_bounds_work_in_flight(tmp_path, monkeypatch):
         # the sweep reads its result
         outstanding: set = set()
         peak = 0
+        tasks = 0
 
         def __init__(self, max_workers):
             pass
@@ -182,21 +193,23 @@ def test_run_sweep_bounds_work_in_flight(tmp_path, monkeypatch):
             fut.set_result(fn(*args))
             pool.outstanding.add(fut)
             pool.peak = max(pool.peak, len(pool.outstanding))
+            pool.tasks += 1
             return fut
 
+    stop = 1 + 7 * sweep_mod._CHUNK + 10  # 8 chunks of targets from 2
     serial = tmp_path / "serial.jsonl"
     pooled = tmp_path / "pooled.jsonl"
-    run_sweep(SweepConfig(2, 60, out=str(serial)))
+    run_sweep(SweepConfig(2, stop, out=str(serial)))
     monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", CountingPool)
-    summary = run_sweep(SweepConfig(2, 60, out=str(pooled), jobs=3))
-    assert CountingPool.peak == 6 and not CountingPool.outstanding
-    assert summary.certified == 59 and summary.clean
-    assert load_records(pooled) == load_records(serial)
+    summary = run_sweep(SweepConfig(2, stop, out=str(pooled), jobs=3))
+    assert (CountingPool.peak, CountingPool.tasks) == (6, 8) and not CountingPool.outstanding
+    assert summary.certified == stop - 1 and summary.clean
+    assert without_ms(pooled) == without_ms(serial)
     # verify --jobs 3 shares the bound
-    CountingPool.peak = 0
+    CountingPool.peak = CountingPool.tasks = 0
     report = verify_file(serial, jobs=3)
-    assert CountingPool.peak == 6 and not CountingPool.outstanding
-    assert report.ok and report.total == 59
+    assert (CountingPool.peak, CountingPool.tasks) == (6, 8) and not CountingPool.outstanding
+    assert report.ok and report.total == stop - 1
 
 
 def test_sweep_2_to_1201_keeps_every_theorem_certificate(tmp_path):
@@ -344,3 +357,76 @@ def test_resume_after_truncation_at_any_byte(full_sweep_2_to_80, tmp_path, data)
         assert record_lines(path) == want, (cut, jobs)
         report = verify_file(path)
         assert report.ok and report.total == 79, (cut, jobs)
+
+
+@pytest.fixture(scope="module")
+def sweep_of_chunks(tmp_path_factory):
+    """A --jobs 1 sweep file of three whole chunks and a part of one."""
+    import logdisc.sweep as sweep_mod
+
+    out = tmp_path_factory.mktemp("chunks") / "sweep.jsonl"
+    run_sweep(SweepConfig(2, 41 + 3 * sweep_mod._CHUNK, out=str(out)))
+    return out
+
+
+def test_sweep_interrupted_inside_a_chunk_resumes_to_the_same_records(sweep_of_chunks, tmp_path, monkeypatch):
+    # a kill at an n inside the second chunk loses that chunk only: the
+    # file holds the first chunk whole, and resume ends with every record
+    import logdisc.sweep as sweep_mod
+
+    chunk, classify = sweep_mod._CHUNK, sweep_mod.classify
+    stop = 41 + 3 * chunk
+    killed_at = 2 + chunk + chunk // 3
+
+    def killed(n):
+        if n == killed_at:
+            raise KeyboardInterrupt
+        return classify(n)
+
+    path = tmp_path / "cut.jsonl"
+    monkeypatch.setattr(sweep_mod, "classify", killed)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(SweepConfig(2, stop, out=str(path)))
+    assert [rec["n"] for rec in without_ms(path)] == list(range(2, 2 + chunk))
+    monkeypatch.setattr(sweep_mod, "classify", classify)
+    summary = run_sweep(SweepConfig(2, stop, out=str(path), resume=True))
+    assert (summary.skipped, summary.certified) == (chunk, stop - 1) and summary.clean
+    assert without_ms(path) == without_ms(sweep_of_chunks)
+
+
+def test_sweep_jobs_two_writes_the_lines_of_jobs_one(sweep_of_chunks, tmp_path):
+    # the same records, in the same order, at any jobs
+    import logdisc.sweep as sweep_mod
+
+    path = tmp_path / "jobs2.jsonl"
+    summary = run_sweep(SweepConfig(2, 41 + 3 * sweep_mod._CHUNK, out=str(path), jobs=2))
+    assert summary.certified == 40 + 3 * sweep_mod._CHUNK and summary.clean
+    assert without_ms(path) == without_ms(sweep_of_chunks)
+
+
+def test_verify_jobs_two_reports_as_jobs_one_over_chunks(sweep_of_chunks, tmp_path):
+    # flagged, invalid and malformed records spread over several chunks
+    # are reported in file order, the same at jobs 1 and 2
+    lines = sweep_of_chunks.read_text().splitlines(keepends=True)
+    recs = [json.loads(line) for line in lines]
+    local = [i for i, rec in enumerate(recs) if rec["certificate"]["type"] == "local_square_class"]
+    assert len(local) > 400
+    for i in (local[10], local[150], local[-5]):  # ell + 1 is even
+        recs[i]["certificate"]["ell"] = str(int(recs[i]["certificate"]["ell"]) + 1)
+    for i in (local[100], local[300]):
+        recs[i]["status"] = "unresolved"
+        recs[i]["certificate"] = {"type": "unresolved", "witness_attempts": "200"}
+    assert recs[2]["n"] == 4  # a false claim, checked by the exact kernel
+    recs[2]["status"] = "counterexample"
+    recs[2]["certificate"] = {"type": "counterexample"}
+    lines = [json.dumps(rec) + "\n" for rec in recs]
+    lines[600] = "{not json\n"
+    lines.insert(700, lines[5])  # a duplicate
+    path = tmp_path / "tampered.jsonl"
+    path.write_text("".join(lines))
+    one, two = verify_file(path), verify_file(path, jobs=2)
+    assert len(one.invalid) == 4 and len(one.flagged) == 2 and len(one.malformed) == 2
+    assert [n for n, _ in one.invalid] == sorted(n for n, _ in one.invalid)
+    for report in (one, two):
+        report.routes = {kind: count for kind, (count, _) in report.routes.items()}
+    assert two == one
